@@ -1,11 +1,14 @@
 # Developer entry points. `make check` is the CI gate: vet plus the full
 # test suite under the race detector (the parallel evaluator, annealer and
-# table grid are all exercised concurrently by their tests), plus a focused
-# race pass over the telemetry collector.
+# table grid are all exercised concurrently by their tests), focused race
+# passes over the telemetry collector, the shared LRU, the arenas and the
+# serving path, the observability goldens, the benchmark module's vet and
+# tests, and the edit-loop, serve, load and cluster smokes. Performance is
+# measured by the benchmark in bench/ (see bench/README.md), not by make.
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-report bench-snapshot bench-diff race-arena serve-smoke load-smoke cluster-smoke race-serve editloop-smoke obs-check check
+.PHONY: all build test race vet bench bench-report bench-module race-arena serve-smoke load-smoke cluster-smoke race-serve editloop-smoke obs-check check
 
 all: build
 
@@ -39,17 +42,12 @@ bench-report: build
 	mkdir -p bench-out
 	$(GO) run ./cmd/fpbench -smoke -quiet -benchjson bench-out -report bench-out/report.json
 
-# bench-snapshot re-measures the pinned perf grid and rewrites the
-# committed BENCH snapshot, carrying the previous trajectory forward as the
-# embedded baseline. Run on an idle machine; commit the result.
-bench-snapshot: build
-	$(GO) run ./cmd/fpbench -snapshot BENCH_0009.json
-
-# bench-diff is the offline perf gate: the newest committed BENCH snapshot
-# must not regress (>10% ns/op or any allocs/op) against its predecessor
-# (or its embedded baseline). No benchmarks are run.
-bench-diff:
-	GO="$(GO)" sh scripts/bench_diff.sh
+# bench-module vets and tests the repository benchmark (`bench/`, run by
+# `bash bench/run.sh`). It is its own Go module, so the root `./...`
+# patterns never compile it; this target catches a change to a package it
+# imports that would break the benchmark.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Focused race pass over the arena-backed evaluation hot path: the slab
 # arenas themselves plus the parallel optimizer that resets them per node.
@@ -102,5 +100,5 @@ obs-check:
 	$(GO) test ./internal/reqid/... ./internal/slogx/...
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-check: vet race obs-check race-serve race-arena bench-diff editloop-smoke load-smoke cluster-smoke
+check: vet race obs-check race-serve race-arena bench-module editloop-smoke load-smoke cluster-smoke
 	$(GO) test -race ./internal/telemetry/... ./internal/cache/...

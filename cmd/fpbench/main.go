@@ -54,11 +54,6 @@ func main() {
 		single    = flag.String("single", "", "with -cluster-check: also compare results against this single-node reference fpserve")
 		editLoop  = flag.Bool("editloop", false, "run the subtree-store edit-loop proof (spine-only recompute + bit-identity) and exit")
 		editIters = flag.Int("edit-iters", 8, "with -editloop: number of one-module edits")
-		snapshot  = flag.String("snapshot", "", "measure the pinned perf grid, write a BENCH snapshot to this file and exit")
-		baseFile  = flag.String("baseline", "", "with -snapshot: embed this snapshot file as the diff baseline")
-		snapPR    = flag.Int("snapshot-pr", 9, "with -snapshot: PR number stamped into the snapshot")
-		diffFile  = flag.String("diff", "", "diff this BENCH snapshot against its baseline and exit non-zero on regression")
-		diffBase  = flag.String("diff-base", "", "with -diff: diff against this snapshot file instead of the embedded baseline")
 		tf        cliutil.TelemetryFlags
 	)
 	tf.Register(flag.CommandLine)
@@ -92,18 +87,6 @@ func main() {
 	}
 	if *editLoop {
 		if err := runEditLoop(*editIters); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *snapshot != "" {
-		if err := runSnapshot(*snapshot, *baseFile, *snapPR); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *diffFile != "" {
-		if err := runDiff(*diffFile, *diffBase); err != nil {
 			log.Fatal(err)
 		}
 		return

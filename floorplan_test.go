@@ -58,6 +58,37 @@ func TestOptimizeCanonicalizesLibrary(t *testing.T) {
 	}
 }
 
+// TestOptimizeBoundsWholeTree pins the whole-problem extent bound: four
+// modules of the largest legal extent in a 2×2 slicing would build a
+// 2^32−2 envelope whose area overflows int64, so the tree is rejected with
+// an error naming the bound. The bound sums over every occurrence, so
+// quarter-size modules fit and get the exact area.
+func TestOptimizeBoundsWholeTree(t *testing.T) {
+	tree := floorplan.HSlice(
+		floorplan.VSlice(floorplan.Leaf("a"), floorplan.Leaf("b")),
+		floorplan.VSlice(floorplan.Leaf("c"), floorplan.Leaf("d")))
+	square := func(e int64) floorplan.Library {
+		lib := floorplan.Library{}
+		for _, m := range []string{"a", "b", "c", "d"} {
+			lib[m] = []floorplan.Impl{{W: e, H: e}}
+		}
+		return lib
+	}
+	const maxExtent = 1<<31 - 1
+	_, err := floorplan.Optimize(tree, square(maxExtent), floorplan.Options{})
+	if err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("overflowing tree: err = %v, want the bound named", err)
+	}
+	const quarter = 1<<29 - 1
+	res, err := floorplan.Optimize(tree, square(quarter), floorplan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (floorplan.Impl{W: 2 * quarter, H: 2 * quarter}); res.Best != want || res.Best.Area() != 4*quarter*quarter {
+		t.Fatalf("Best = %v (area %d), want %v", res.Best, res.Best.Area(), want)
+	}
+}
+
 func TestOptimizeWithSelectionAndLimit(t *testing.T) {
 	tree, err := floorplan.PaperFloorplan("FP1")
 	if err != nil {

@@ -1,19 +1,24 @@
 // Package cache is the serving layer's cross-request memo: a bounded,
-// sharded, content-addressed store of optimization results keyed by the
-// canonical hash of (subtree structure, module shape lists, selection
-// limits). The paper makes one fixed-topology optimization cheap; callers
+// sharded, content-addressed LRU of byte payloads keyed by 32-byte content
+// addresses. The paper makes one fixed-topology optimization cheap; callers
 // that re-optimize near-identical trees thousands of times (interactive
 // editors, annealers, workload generators) make the amortized cost matter,
 // and a content-addressed cache turns repeated work into lookups.
 //
-// Values are opaque byte payloads (the server stores the marshaled
-// deterministic result), so a hit is byte-identical to the original
-// computation by construction. Storage is bounded by a byte budget
-// accounted through an internal/memtrack.Tracker — the same
-// reservation-based admission the optimizer uses for implementation counts
-// — with per-shard LRU eviction making room; an entry larger than the whole
-// budget is rejected rather than thrashing the cache. All operations are
-// safe for concurrent use; locking is per shard.
+// The one LRU serves two memo levels, each recording its own telemetry
+// family: New builds the whole-request result cache (cache.* counters),
+// keyed by the canonical hash of (subtree structure, module shape lists,
+// selection limits) and holding the marshaled deterministic result, so a
+// hit is byte-identical to the original computation by construction.
+// internal/substore builds the per-subtree store on the same LRU through
+// NewLRU (substore.* counters) and adds only its record codec.
+//
+// Storage is bounded by a byte budget accounted through an
+// internal/memtrack.Tracker — the same reservation-based admission the
+// optimizer uses for implementation counts — with per-shard LRU eviction
+// making room; an entry larger than the whole budget is rejected rather
+// than thrashing the cache. All operations are safe for concurrent use;
+// locking is per shard.
 package cache
 
 import (
@@ -46,13 +51,30 @@ type Config struct {
 	Telemetry *telemetry.Collector
 }
 
-// Cache is the sharded store. A nil *Cache is the disabled state: Get
-// always misses, Put is a no-op.
+// Counters names the telemetry family a Cache records, so each memo level
+// built on the LRU reports under its own names.
+type Counters struct {
+	Hits, Misses, Evictions, Rejects telemetry.Counter
+	PeakBytes                        telemetry.Watermark
+}
+
+// resultCounters is the result cache's family.
+var resultCounters = Counters{
+	Hits:      telemetry.CtrCacheHits,
+	Misses:    telemetry.CtrCacheMisses,
+	Evictions: telemetry.CtrCacheEvictions,
+	Rejects:   telemetry.CtrCacheRejects,
+	PeakBytes: telemetry.MaxCacheBytes,
+}
+
+// Cache is the sharded LRU. A nil *Cache is the disabled state: Get always
+// misses, Put is a no-op.
 type Cache struct {
 	shards []shard
 	mask   uint32
 	mem    *memtrack.Tracker
 	tel    *telemetry.Collector
+	ctr    Counters
 
 	hits, misses, evictions, rejects atomic.Int64
 }
@@ -69,8 +91,12 @@ type entry struct {
 	size  int64
 }
 
-// New builds a cache under the given byte budget.
-func New(cfg Config) (*Cache, error) {
+// New builds the result cache under the given byte budget.
+func New(cfg Config) (*Cache, error) { return NewLRU(cfg, resultCounters) }
+
+// NewLRU builds a cache under the given byte budget that records the
+// counter family ctr.
+func NewLRU(cfg Config, ctr Counters) (*Cache, error) {
 	if cfg.MaxBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive byte budget %d", cfg.MaxBytes)
 	}
@@ -88,6 +114,7 @@ func New(cfg Config) (*Cache, error) {
 		mask:   uint32(p - 1),
 		mem:    memtrack.NewTracker(cfg.MaxBytes),
 		tel:    cfg.Telemetry,
+		ctr:    ctr,
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[Key]*list.Element)
@@ -103,9 +130,17 @@ func (c *Cache) shard(k Key) *shard {
 // Get returns the payload stored under k and marks the entry recently used.
 // The returned bytes are shared and must be treated as immutable. A nil
 // cache always misses.
-func (c *Cache) Get(k Key) ([]byte, bool) {
+func (c *Cache) Get(k Key) ([]byte, bool) { return GetDecoded(c, k, keepBytes) }
+
+func keepBytes(b []byte) ([]byte, error) { return b, nil }
+
+// GetDecoded is Get for callers that store an encoded value: it decodes the
+// entry's bytes outside the shard lock. An entry decode rejects (format
+// drift) is deleted and the lookup counts as a miss, not a hit.
+func GetDecoded[T any](c *Cache, k Key, decode func([]byte) (T, error)) (T, bool) {
+	var zero T
 	if c == nil {
-		return nil, false
+		return zero, false
 	}
 	s := c.shard(k)
 	s.mu.Lock()
@@ -114,14 +149,18 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 		s.lru.MoveToFront(el)
 	}
 	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		c.tel.Inc(telemetry.CtrCacheMisses)
-		return nil, false
+	if ok {
+		v, err := decode(el.Value.(*entry).value)
+		if err == nil {
+			c.hits.Add(1)
+			c.tel.Inc(c.ctr.Hits)
+			return v, true
+		}
+		c.Delete(k)
 	}
-	c.hits.Add(1)
-	c.tel.Inc(telemetry.CtrCacheHits)
-	return el.Value.(*entry).value, true
+	c.misses.Add(1)
+	c.tel.Inc(c.ctr.Misses)
+	return zero, false
 }
 
 // Put stores value under k, evicting least-recently-used entries of the
@@ -138,7 +177,7 @@ func (c *Cache) Put(k Key, value []byte) {
 	if size > c.mem.Limit() {
 		// Never admissible: reject before sacrificing resident entries.
 		c.rejects.Add(1)
-		c.tel.Inc(telemetry.CtrCacheRejects)
+		c.tel.Inc(c.ctr.Rejects)
 		return
 	}
 	s := c.shard(k)
@@ -156,30 +195,49 @@ func (c *Cache) Put(k Key, value []byte) {
 			// Oversize for the whole budget, or this shard has nothing
 			// left to give back: drop the entry.
 			c.rejects.Add(1)
-			c.tel.Inc(telemetry.CtrCacheRejects)
+			c.tel.Inc(c.ctr.Rejects)
 			return
 		}
 		c.evictOldest(s)
 	}
 	el := s.lru.PushFront(&entry{key: k, value: value, size: size})
 	s.entries[k] = el
-	c.tel.Observe(telemetry.MaxCacheBytes, c.mem.Current())
+	c.tel.Observe(c.ctr.PeakBytes, c.mem.Current())
 }
 
-// evictOldest removes the shard's least-recently-used entry and releases
-// its bytes. The shard lock must be held.
+// Delete removes the entry stored under k, if present, and releases its
+// bytes. It is not counted as an eviction.
+func (c *Cache) Delete(k Key) {
+	if c == nil {
+		return
+	}
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.entries[k]; ok {
+		c.remove(s, el)
+	}
+}
+
+// evictOldest removes the shard's least-recently-used entry. The shard
+// lock must be held.
 func (c *Cache) evictOldest(s *shard) {
 	el := s.lru.Back()
 	if el == nil {
 		return
 	}
+	c.remove(s, el)
+	c.evictions.Add(1)
+	c.tel.Inc(c.ctr.Evictions)
+}
+
+// remove unlinks el and releases its bytes. The shard lock must be held.
+func (c *Cache) remove(s *shard, el *list.Element) {
 	e := el.Value.(*entry)
 	s.lru.Remove(el)
 	delete(s.entries, e.key)
 	// Release cannot fail here: every stored entry's size was admitted.
 	_ = c.mem.Release(e.size)
-	c.evictions.Add(1)
-	c.tel.Inc(telemetry.CtrCacheEvictions)
 }
 
 // Len returns the number of entries across all shards.

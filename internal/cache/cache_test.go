@@ -122,6 +122,12 @@ func TestNilCacheDisabled(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("nil Len != 0")
 	}
+	// Disabled means nil, never a zero-budget cache.
+	for _, b := range []int64{0, -1} {
+		if _, err := New(Config{MaxBytes: b}); err == nil {
+			t.Fatalf("New accepted budget %d", b)
+		}
+	}
 }
 
 // TestRaceOneKey hammers a single key from many goroutines — the pattern a

@@ -12,10 +12,11 @@
 // Two entry points are provided:
 //
 //   - Solve runs on an explicit Graph, exactly as in the paper.
-//   - SolveDense runs on the implicit complete DAG over vertices 0..n-1
-//     (every edge i→j with i < j present, weights from a callback). This is
-//     the instance both selection algorithms generate (Sections 4.2–4.3);
-//     skipping graph materialization keeps their memory at O(kn).
+//   - SolveDenseColumns runs on the implicit complete DAG over vertices
+//     0..n-1 (every edge i→j with i < j present, weights from a per-column
+//     callback). This is the instance both selection algorithms generate
+//     (Sections 4.2–4.3); skipping graph materialization keeps their memory
+//     at O(kn).
 package cspp
 
 import (
@@ -298,86 +299,27 @@ func Solve(g *Graph, s, t, k int) (Result, error) {
 	return Result{Path: path, Weight: prev[t]}, nil
 }
 
-// WeightFunc gives the weight of the implicit edge i→j (i < j) of a dense
-// interval DAG. Weights must be >= 0; selection error weights can be zero
-// (adjacent implementations cost nothing to bridge), which is harmless here
-// because the interval DAG is acyclic by construction.
-type WeightFunc func(i, j int) int64
-
-// SolveDense solves the CSPP on the complete DAG over 0..n-1 with source 0
-// and sink n-1: it returns the k vertex indices of a minimum-weight path
-// visiting exactly k vertices. This is the reduction target of R_Selection
-// and L_Selection, where vertex i is the i-th implementation of an
-// irreducible list and w(i,j) = error(r_i, r_j).
-func SolveDense(n, k int, weight WeightFunc) ([]int, int64, error) {
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("cspp: dense graph needs n >= 1, got %d", n)
-	}
-	if k < 1 || k > n {
-		return nil, 0, fmt.Errorf("cspp: k=%d out of range [1,%d]", k, n)
-	}
-	if k == 1 {
-		if n != 1 {
-			return nil, 0, ErrNoPath
-		}
-		return []int{0}, 0, nil
-	}
-	d := getDP(n, k)
-	defer d.release()
-	prev, cur := d.prev, d.cur
-	prev[0] = 0
-	for l := 2; l <= k; l++ {
-		pred := d.row(l, n)
-		// With exactly l vertices used, the path tip can be no earlier than
-		// vertex l-1 and must leave room for the remaining k-l hops.
-		for v := 0; v < n; v++ {
-			cur[v] = Inf
-			pred[v] = -1
-		}
-		lo := l - 1
-		hi := n - 1 - (k - l)
-		for v := lo; v <= hi; v++ {
-			for u := l - 2; u < v; u++ {
-				if prev[u] == Inf {
-					continue
-				}
-				if w := prev[u] + weight(u, v); w < cur[v] {
-					cur[v] = w
-					pred[v] = int32(u)
-				}
-			}
-		}
-		prev, cur = cur, prev
-	}
-	if prev[n-1] == Inf {
-		return nil, 0, ErrNoPath
-	}
-	path := make([]int, k)
-	path[k-1] = n - 1
-	v := n - 1
-	for l := k; l >= 2; l-- {
-		v = int(d.pred[l][v])
-		path[l-2] = v
-	}
-	return path, prev[n-1], nil
-}
-
 // ColumnFunc fills col[u] = w(u, v) for every 0 <= u < v, the incoming edge
 // weights of dense-DAG vertex v. len(col) == v.
 type ColumnFunc func(v int, col []int64)
 
-// SolveDenseColumns is SolveDense in j-major order: the DP visits each
-// vertex v once, asks the callback for v's full incoming weight column, and
-// relaxes every feasible layer against it. Callers whose edge weights come
-// from a per-column recurrence (the selection error tables of Sections
-// 4.2–4.3) generate each column exactly once instead of once per layer —
-// cutting the column work by a factor of k — and never materialize the
-// O(n²) error table at all. Results are identical to SolveDense on the same
-// weights: the layer scan order, u-ascending tie-break and feasible ranges
-// are preserved exactly.
+// SolveDenseColumns solves the CSPP on the complete DAG over 0..n-1 with
+// source 0 and sink n-1: it returns the k vertex indices of a
+// minimum-weight path visiting exactly k vertices. This is the reduction
+// target of R_Selection and L_Selection, where vertex i is the i-th
+// implementation of an irreducible list and w(i,j) = error(r_i, r_j).
+//
+// The DP runs in j-major order: it visits each vertex v once, asks the
+// callback for v's full incoming weight column, and relaxes every feasible
+// layer against it. Callers whose edge weights come from a per-column
+// recurrence (the selection error tables of Sections 4.2–4.3) generate each
+// column exactly once instead of once per layer and never materialize the
+// O(n²) error table at all. Ties break toward the lowest predecessor u, so
+// results are identical to Solve on the materialized complete DAG with
+// edges added in u-ascending order (pinned by tests).
 //
 // Memory is O(kn) for the weight table — the same order as the predecessor
-// table both solvers already keep.
+// table.
 func SolveDenseColumns(n, k int, column ColumnFunc) ([]int, int64, error) {
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("cspp: dense graph needs n >= 1, got %d", n)
@@ -408,7 +350,7 @@ func SolveDenseColumns(n, k int, column ColumnFunc) ([]int, int64, error) {
 	for v := 1; v < n; v++ {
 		column(v, col[:v])
 		// v can sit at layer l only with l-1 predecessors before it and
-		// k-l successors after it — the same feasible band SolveDense walks.
+		// k-l successors after it.
 		lmin := k - (n - 1 - v)
 		if lmin < 2 {
 			lmin = 2

@@ -232,27 +232,47 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// columnsOf adapts a dense weight matrix to SolveDenseColumns.
+func columnsOf(w [][]int64) ColumnFunc {
+	return func(v int, col []int64) {
+		for u := range col {
+			col[u] = w[u][v]
+		}
+	}
+}
+
+// completeDAG materializes the complete DAG over w for the reference Solve,
+// adding each vertex's incoming edges in u-ascending order.
+func completeDAG(t *testing.T, w [][]int64) *Graph {
+	t.Helper()
+	g := MustGraph(len(w))
+	for i := range w {
+		for j := i + 1; j < len(w); j++ {
+			if err := g.AddEdge(i, j, w[i][j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
 func TestSolveDenseMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(12)
 		w := make([][]int64, n)
-		g := MustGraph(n)
 		for i := range w {
 			w[i] = make([]int64, n)
 			for j := i + 1; j < n; j++ {
 				w[i][j] = rng.Int63n(50)
-				if err := g.AddEdge(i, j, w[i][j]); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		k := 2 + rng.Intn(n-1)
-		path, weight, err := SolveDense(n, k, func(i, j int) int64 { return w[i][j] })
+		path, weight, err := SolveDenseColumns(n, k, columnsOf(w))
 		if err != nil {
-			t.Fatalf("SolveDense: %v", err)
+			t.Fatalf("SolveDenseColumns: %v", err)
 		}
-		res, err := Solve(g, 0, n-1, k)
+		res, err := Solve(completeDAG(t, w), 0, n-1, k)
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
@@ -275,29 +295,19 @@ func TestSolveDenseMatchesExplicit(t *testing.T) {
 	}
 }
 
+// TestSolveDenseEdgeCases covers the dense solver's bounds not exercised by
+// TestSolveDenseColumnsEdgeCases: k < 1, and k = n selecting everything.
 func TestSolveDenseEdgeCases(t *testing.T) {
-	if _, _, err := SolveDense(0, 1, nil); err == nil {
-		t.Error("expected error for n=0")
-	}
-	if _, _, err := SolveDense(5, 6, nil); err == nil {
-		t.Error("expected error for k > n")
-	}
-	if _, _, err := SolveDense(5, 0, nil); err == nil {
+	if _, _, err := SolveDenseColumns(5, 0, nil); err == nil {
 		t.Error("expected error for k < 1")
 	}
-	path, weight, err := SolveDense(1, 1, nil)
-	if err != nil || weight != 0 || len(path) != 1 || path[0] != 0 {
-		t.Errorf("n=1 k=1: %v %d %v", path, weight, err)
-	}
-	if _, _, err := SolveDense(3, 1, nil); !errors.Is(err, ErrNoPath) {
-		t.Errorf("n=3 k=1 should be ErrNoPath, got %v", err)
-	}
-	// k = n must select everything.
-	path, weight, err = SolveDense(4, 4, func(i, j int) int64 {
-		if j == i+1 {
-			return 1
+	path, weight, err := SolveDenseColumns(4, 4, func(v int, col []int64) {
+		for u := range col {
+			col[u] = 100
+			if u == v-1 {
+				col[u] = 1
+			}
 		}
-		return 100
 	})
 	if err != nil || weight != 3 {
 		t.Fatalf("k=n: %v %d %v", path, weight, err)
@@ -306,7 +316,11 @@ func TestSolveDenseEdgeCases(t *testing.T) {
 
 func TestSolveDenseKTwo(t *testing.T) {
 	// k=2 must take the direct edge 0 -> n-1.
-	path, weight, err := SolveDense(6, 2, func(i, j int) int64 { return int64(10*i + j) })
+	path, weight, err := SolveDenseColumns(6, 2, func(v int, col []int64) {
+		for u := range col {
+			col[u] = int64(10*u + v)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +335,11 @@ func TestSolveDenseKTwo(t *testing.T) {
 // contamination would flip the result.
 func TestPooledBuffersReuse(t *testing.T) {
 	solve := func(n, k int) ([]int, int64, error) {
-		return SolveDense(n, k, func(i, j int) int64 { return int64((j - i) * (j - i)) })
+		return SolveDenseColumns(n, k, func(v int, col []int64) {
+			for u := range col {
+				col[u] = int64((v - u) * (v - u))
+			}
+		})
 	}
 	// Sequential size churn: big, small, big again.
 	for _, nk := range [][2]int{{40, 10}, {3, 2}, {40, 10}, {8, 8}, {40, 40}} {

@@ -18,36 +18,32 @@ func randWeights(rng *rand.Rand, n, span int) [][]int64 {
 	return w
 }
 
-// TestSolveDenseColumnsMatchesSolveDense pins the j-major solver to the
-// level-major one bit-for-bit: identical path (not just weight), for every
-// feasible k, on tie-heavy instances. Bit-identical selection is what keeps
-// the optimizer's output independent of which solver a code path uses.
+// TestSolveDenseColumnsMatchesSolveDense pins the j-major dense solver to
+// the paper-verbatim Solve on the materialized complete DAG bit-for-bit:
+// identical path (not just weight), for every feasible k, on tie-heavy
+// instances. Bit-identical selection is what keeps the optimizer's output
+// independent of how the CSPP is solved.
 func TestSolveDenseColumnsMatchesSolveDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(40)
 		w := randWeights(rng, n, 1+rng.Intn(6))
-		weight := func(i, j int) int64 { return w[i][j] }
-		column := func(v int, col []int64) {
-			for u := 0; u < v; u++ {
-				col[u] = w[u][v]
-			}
-		}
+		g := completeDAG(t, w)
 		for k := 2; k <= n; k++ {
-			wantPath, wantW, wantErr := SolveDense(n, k, weight)
-			gotPath, gotW, gotErr := SolveDenseColumns(n, k, column)
+			want, wantErr := Solve(g, 0, n-1, k)
+			gotPath, gotW, gotErr := SolveDenseColumns(n, k, columnsOf(w))
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("n=%d k=%d: err mismatch %v vs %v", n, k, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				continue
 			}
-			if wantW != gotW {
-				t.Fatalf("n=%d k=%d: weight %d vs %d", n, k, wantW, gotW)
+			if want.Weight != gotW {
+				t.Fatalf("n=%d k=%d: weight %d vs %d", n, k, want.Weight, gotW)
 			}
-			for i := range wantPath {
-				if wantPath[i] != gotPath[i] {
-					t.Fatalf("n=%d k=%d: path %v vs %v", n, k, wantPath, gotPath)
+			for i := range want.Path {
+				if want.Path[i] != gotPath[i] {
+					t.Fatalf("n=%d k=%d: path %v vs %v", n, k, want.Path, gotPath)
 				}
 			}
 		}

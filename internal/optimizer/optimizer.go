@@ -74,13 +74,6 @@ type Options struct {
 	// postorder, like Stats); nil disables collection at the cost of one
 	// branch per instrumentation site.
 	Telemetry *telemetry.Collector
-	// DisableArena turns off the per-worker slab arenas that back the
-	// transient candidate buffers of the combine operations, falling back
-	// to plain heap allocation. Results are bit-identical either way (the
-	// arenas only change where scratch memory lives, never what is
-	// computed — pinned by tests); the knob exists for debugging and for
-	// those equality tests.
-	DisableArena bool
 	// Substore, when non-nil, memoizes per-subtree evaluation results
 	// across runs: nodes whose content address resolves are spliced from
 	// the store instead of evaluated, and freshly evaluated nodes fill it.
@@ -254,11 +247,10 @@ type runState struct {
 	// Each worker owns its arenas exclusively, so no synchronization is
 	// needed; combine results never alias arena storage, which lets the
 	// worker Reset its arenas after every node (slabs stay warm for the
-	// next node on that worker). Zero-valued entries (heap fallback) when
-	// Options.DisableArena is set.
+	// next node on that worker).
 	allocs []combine.Alloc
 	// arenaLedger accounts slab bytes across all workers' arenas; its Peak
-	// feeds the arena.slab_bytes_peak watermark. Nil when arenas are off.
+	// feeds the arena.slab_bytes_peak watermark.
 	arenaLedger *memtrack.Tracker
 	// sub is the subtree result store consulted and filled by this run;
 	// nil when memoization is off. digests holds every node's content
@@ -291,13 +283,9 @@ func newAllocs(workers int, ledger *memtrack.Tracker) []combine.Alloc {
 // freeArenas returns every worker's slab bytes to the ledger. The arenas
 // stay usable (a later Alloc re-charges), but runs never reuse a runState.
 func (st *runState) freeArenas() {
-	for i := range st.allocs {
-		if st.allocs[i].L != nil {
-			st.allocs[i].L.Free()
-		}
-		if st.allocs[i].R != nil {
-			st.allocs[i].R.Free()
-		}
+	for _, a := range st.allocs {
+		a.L.Free()
+		a.R.Free()
 	}
 }
 
@@ -329,10 +317,8 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 	if bin.IsL() {
 		return nil, fmt.Errorf("optimizer: root block is L-shaped; the floorplan root must be rectangular")
 	}
-	for _, m := range bin.Modules() {
-		if _, ok := o.lib[m]; !ok {
-			return nil, fmt.Errorf("optimizer: module %q not in library", m)
-		}
+	if err := plan.CheckModules(bin.Modules(), o.lib); err != nil {
+		return nil, err
 	}
 	if !bin.HasPreorderIDs() {
 		bin.AssignIDs()
@@ -356,12 +342,8 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 		work = st.resolveFromStore(schedule)
 	}
 	workers := o.opts.workers(len(work))
-	if o.opts.DisableArena {
-		st.allocs = make([]combine.Alloc, workers)
-	} else {
-		st.arenaLedger = memtrack.NewTracker(0)
-		st.allocs = newAllocs(workers, st.arenaLedger)
-	}
+	st.arenaLedger = memtrack.NewTracker(0)
+	st.allocs = newAllocs(workers, st.arenaLedger)
 	var poolSolves0, poolHits0, poolMisses0 int64
 	var fusedR0, fusedL0, tableL0 int64
 	evalSpanStart := st.tel.Now()
@@ -405,9 +387,7 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 		st.tel.Add(telemetry.CtrFusedRSelect, fusedR-fusedR0)
 		st.tel.Add(telemetry.CtrFusedLSelect, fusedL-fusedL0)
 		st.tel.Add(telemetry.CtrTableLSelect, tableL-tableL0)
-		if st.arenaLedger != nil {
-			st.tel.Observe(telemetry.MaxArenaBytes, st.arenaLedger.Peak())
-		}
+		st.tel.Observe(telemetry.MaxArenaBytes, st.arenaLedger.Peak())
 		st.emitTelemetry(schedule, stats)
 	}
 	if evalErr != nil {

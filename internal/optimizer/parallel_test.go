@@ -11,9 +11,8 @@ import (
 )
 
 // TestWorkersBitIdentical runs the same tree and library with Workers 1, 2
-// and 8, with the combine arenas both on and off, and demands bit-identical
-// outputs: the worker count is a pure throughput knob and the arenas only
-// move scratch memory, never change what is computed.
+// and 8 and demands bit-identical outputs: the worker count is a pure
+// throughput knob.
 func TestWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 4; trial++ {
@@ -28,41 +27,29 @@ func TestWorkersBitIdentical(t *testing.T) {
 		lib := Library(rawLib)
 		policy := selection.Policy{K1: 4, K2: 40, S: 30}
 		ref := mustRun(t, lib, Options{Policy: policy, Workers: 1}, tree)
-		variants := []Options{
-			{Policy: policy, Workers: 1, DisableArena: true},
-			{Policy: policy, Workers: 2},
-			{Policy: policy, Workers: 8},
-			{Policy: policy, Workers: 8, DisableArena: true},
-		}
-		for _, opts := range variants {
-			w := opts.Workers
-			got := mustRun(t, lib, opts, tree)
+		for _, w := range []int{2, 8} {
+			got := mustRun(t, lib, Options{Policy: policy, Workers: w}, tree)
 			if got.Best != ref.Best {
-				t.Fatalf("trial %d workers %d arena=%v: Best %v != %v",
-					trial, w, !opts.DisableArena, got.Best, ref.Best)
+				t.Fatalf("trial %d workers %d: Best %v != %v", trial, w, got.Best, ref.Best)
 			}
 			gs, rs := got.Stats, ref.Stats
 			gs.Elapsed, rs.Elapsed = 0, 0
 			if gs != rs {
-				t.Fatalf("trial %d workers %d arena=%v: Stats %+v != %+v",
-					trial, w, !opts.DisableArena, gs, rs)
+				t.Fatalf("trial %d workers %d: Stats %+v != %+v", trial, w, gs, rs)
 			}
 			if !got.RootList.Equal(ref.RootList) {
-				t.Fatalf("trial %d workers %d arena=%v: root lists diverged",
-					trial, w, !opts.DisableArena)
+				t.Fatalf("trial %d workers %d: root lists diverged", trial, w)
 			}
 			if !reflect.DeepEqual(got.NodeStats, ref.NodeStats) {
-				t.Fatalf("trial %d workers %d arena=%v: NodeStats diverged:\n%+v\n%+v",
-					trial, w, !opts.DisableArena, got.NodeStats, ref.NodeStats)
+				t.Fatalf("trial %d workers %d: NodeStats diverged:\n%+v\n%+v",
+					trial, w, got.NodeStats, ref.NodeStats)
 			}
 			if len(got.Placement.Modules) != len(ref.Placement.Modules) {
-				t.Fatalf("trial %d workers %d arena=%v: placements diverged",
-					trial, w, !opts.DisableArena)
+				t.Fatalf("trial %d workers %d: placements diverged", trial, w)
 			}
 			for i := range got.Placement.Modules {
 				if got.Placement.Modules[i] != ref.Placement.Modules[i] {
-					t.Fatalf("trial %d workers %d arena=%v: module %d placed differently",
-						trial, w, !opts.DisableArena, i)
+					t.Fatalf("trial %d workers %d: module %d placed differently", trial, w, i)
 				}
 			}
 		}

@@ -30,12 +30,9 @@ func TestTelemetryReportBitIdentical(t *testing.T) {
 		lib := Library(rawLib)
 		policy := selection.Policy{K1: 4, K2: 40, S: 30}
 
-		canonical := func(workers int, disableArena bool) []byte {
+		canonical := func(workers int) []byte {
 			col := telemetry.New()
-			res := mustRun(t, lib, Options{
-				Policy: policy, Workers: workers, Telemetry: col,
-				DisableArena: disableArena,
-			}, tree)
+			res := mustRun(t, lib, Options{Policy: policy, Workers: workers, Telemetry: col}, tree)
 			if res == nil {
 				t.Fatal("nil result")
 			}
@@ -46,17 +43,14 @@ func TestTelemetryReportBitIdentical(t *testing.T) {
 			return data
 		}
 
-		ref := canonical(1, false)
+		ref := canonical(1)
 		if len(ref) == 0 {
 			t.Fatal("empty canonical report")
 		}
 		for _, w := range []int{2, 8} {
-			for _, disableArena := range []bool{false, true} {
-				got := canonical(w, disableArena)
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("trial %d: canonical report differs between Workers=1 and Workers=%d (arena=%v):\n--- w=1 ---\n%s\n--- got ---\n%s",
-						trial, w, !disableArena, ref, got)
-				}
+			if got := canonical(w); !bytes.Equal(got, ref) {
+				t.Fatalf("trial %d: canonical report differs between Workers=1 and Workers=%d:\n--- w=1 ---\n%s\n--- got ---\n%s",
+					trial, w, ref, got)
 			}
 		}
 	}

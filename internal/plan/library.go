@@ -3,6 +3,7 @@ package plan
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"floorplan/internal/shape"
 )
@@ -18,7 +19,8 @@ type Library map[string][]shape.RImpl
 // product — e.g. W = H = 2^32 gives Area() == 0 — and the degenerate
 // "zero-area" curve sails through every downstream comparison. 2^31−1
 // keeps any single implementation's area under 2^62, leaving slack for
-// the envelope sums placement verification computes.
+// the envelope sums placement verification computes. CheckModules applies
+// the same bound to the sums over a whole tree.
 const MaxExtent = int64(1)<<31 - 1
 
 // CanonicalModule validates and canonicalizes one module's implementation
@@ -43,6 +45,43 @@ func CanonicalModule(name string, impls []shape.RImpl) (shape.RList, error) {
 		return nil, fmt.Errorf("plan: module %q: %w", name, err)
 	}
 	return l, nil
+}
+
+// CheckModules is the whole-problem validation shared by the optimizer and
+// fpserve. occurrences lists the module of every leaf (a module used twice
+// appears twice). Each must name a lib entry, and the sum over occurrences
+// of each module's largest width — likewise height — must not exceed
+// MaxExtent. Every block the optimizer builds is at most those sums in
+// each dimension, so the bound keeps every envelope extent within
+// MaxExtent and every area, as for a single implementation, under 2^62.
+func CheckModules[L ~[]shape.RImpl](occurrences []string, lib map[string]L) error {
+	var sumW, sumH int64
+	for _, m := range occurrences {
+		impls, ok := lib[m]
+		if !ok {
+			return fmt.Errorf("plan: module %q not in library", m)
+		}
+		var w, h int64
+		for _, im := range impls {
+			w, h = max(w, im.W), max(h, im.H)
+		}
+		sumW, sumH = addSat(sumW, w), addSat(sumH, h)
+	}
+	if sumW > MaxExtent {
+		return fmt.Errorf("plan: the modules' widest implementations sum to %d, over the maximum extent %d", sumW, MaxExtent)
+	}
+	if sumH > MaxExtent {
+		return fmt.Errorf("plan: the modules' tallest implementations sum to %d, over the maximum extent %d", sumH, MaxExtent)
+	}
+	return nil
+}
+
+// addSat adds two non-negative extents, saturating at math.MaxInt64.
+func addSat(a, b int64) int64 {
+	if b > math.MaxInt64-a {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // CanonicalLibrary canonicalizes every module list through CanonicalModule.

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the fused error+CSPP passes: instead of
-// materializing an error table and handing it to the level-major dense
+// materializing an error table and copying its columns into the dense
 // solver, selection drives cspp.SolveDenseColumns, generating each error
 // column exactly once — on the fly, from a recurrence — while the DP
 // consumes it.
@@ -26,9 +26,9 @@ import (
 // records it.
 //
 // Both fused passes produce bit-identical selections to the table paths:
-// the weights are algebraically equal and SolveDenseColumns preserves
-// SolveDense's scan order and tie-breaks exactly (pinned by tests here and
-// in package cspp).
+// the weights are algebraically equal and the CSPP's tie-breaks match the
+// paper-verbatim cspp.Solve on the materialized table (pinned by tests here
+// and in package cspp).
 
 // Fused-pass hit counters. Process-wide (like the cspp DP pool counters):
 // telemetry collectors snapshot deltas around a run, so concurrent runs see

@@ -78,9 +78,9 @@ func TestFusedLColumnMatchesTable(t *testing.T) {
 }
 
 // TestLSelectFusedMatchesTablePath runs the Manhattan L_Selection through
-// both implementations — the fused pass (what LSelectMetric now uses) and
-// the explicit table + level-major solver — and requires bit-identical
-// indices and weight.
+// the fused pass (what LSelectMetric uses) and through the explicit
+// Compute_L_Error table + the paper-verbatim cspp.Solve on the complete
+// DAG, and requires bit-identical indices and weight.
 func TestLSelectFusedMatchesTablePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 80; trial++ {
@@ -91,23 +91,31 @@ func TestLSelectFusedMatchesTablePath(t *testing.T) {
 		} else {
 			l = tieHeavyLList(rng, n)
 		}
+		table := ComputeLError(l)
+		g := cspp.MustGraph(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if err := g.AddEdge(u, v, table.At(u, v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		for k := 2; k < n; k++ {
 			got, err := LSelect(l, k)
 			if err != nil {
 				t.Fatalf("fused LSelect n=%d k=%d: %v", n, k, err)
 			}
-			table := ComputeLError(l)
-			wantIdx, wantW, err := cspp.SolveDense(n, k, table.At)
+			want, err := cspp.Solve(g, 0, n-1, k)
 			if err != nil {
 				t.Fatalf("table path n=%d k=%d: %v", n, k, err)
 			}
-			if got.Error != wantW {
-				t.Fatalf("n=%d k=%d: fused error %d, table %d", n, k, got.Error, wantW)
+			if got.Error != want.Weight {
+				t.Fatalf("n=%d k=%d: fused error %d, table %d", n, k, got.Error, want.Weight)
 			}
-			for i := range wantIdx {
-				if got.Indices[i] != wantIdx[i] {
+			for i := range want.Path {
+				if got.Indices[i] != want.Path[i] {
 					t.Fatalf("n=%d k=%d: fused indices %v, table %v",
-						n, k, got.Indices, wantIdx)
+						n, k, got.Indices, want.Path)
 				}
 			}
 		}

@@ -53,7 +53,11 @@ func LSelectMetric(l shape.LList, k int, m Metric) (LResult, error) {
 	}
 	tableLPasses.Add(1)
 	table := ComputeLErrorMetric(l, m)
-	indices, weight, err := cspp.SolveDense(n, k, table.At)
+	indices, weight, err := cspp.SolveDenseColumns(n, k, func(v int, col []int64) {
+		for u := range col {
+			col[u] = table.At(u, v)
+		}
+	})
 	if err != nil {
 		return LResult{}, fmt.Errorf("selection: LSelect CSPP: %w", err)
 	}

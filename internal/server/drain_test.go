@@ -39,10 +39,10 @@ func TestDrainUnderLoadRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			// Distinct K1 per request: every request leads its own flight
-			// call, maximizing leaders in the racy window.
+			// Distinct valid K1 (>= 2) per request: every request leads its
+			// own flight call, maximizing leaders in the racy window.
 			req := &OptimizeRequest{Tree: testTree(), Library: testLibrary(),
-				Options: RequestOptions{K1: i + 1}}
+				Options: RequestOptions{K1: i + 2}}
 			status, _, _ := postOptimize(t, ts, req)
 			statuses[i] = status
 		}(i)

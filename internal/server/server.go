@@ -241,8 +241,13 @@ type Server struct {
 	avgComputeNs      atomic.Int64 // EWMA of computation wall time, for Retry-After
 	draining          atomic.Bool
 
-	wg   sync.WaitGroup // background computations (incl. abandoned ones)
-	http *http.Server
+	// wg counts background computations (incl. abandoned ones). drainMu
+	// orders every wg.Add before Shutdown's Wait: a handler adds only
+	// under the lock and after seeing draining unset, and Shutdown sets
+	// draining under the same lock before it waits.
+	wg      sync.WaitGroup
+	drainMu sync.Mutex
+	http    *http.Server
 }
 
 // New validates the configuration and returns a Server.
@@ -320,7 +325,9 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // are refused, in-flight HTTP requests and background computations finish
 // (or ctx expires).
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	s.rec.stop()
 	var err error
 	if s.http != nil {
@@ -436,11 +443,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	for _, m := range req.Tree.Modules() {
-		if _, ok := lib[m]; !ok {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("module %q not in library", m))
-			return
-		}
+	leaves := req.Tree.Leaves()
+	modules := make([]string, len(leaves))
+	for i, leaf := range leaves {
+		modules[i] = leaf.Module
+	}
+	if err := plan.CheckModules(modules, lib); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	memLimit := req.Options.MemoryLimit
 	if memLimit < 0 {
@@ -549,15 +559,17 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		// optimization is not cancelable mid-evaluation, so on timeout we
 		// answer 503 and let the run finish in the background — it still
 		// stores its result, which warms the cache for the client's retry.
-		// Shutdown waits for these. The draining re-check after Add closes
-		// a race with Shutdown's wg.Wait: a handler past the entry check
-		// could otherwise Add after Wait already returned and leak the
-		// computation past "drain complete" (mid-Cache.Put at exit). The
-		// atomics are sequentially consistent, so a false Load here proves
-		// the Add preceded Wait's first look at the counter.
-		s.wg.Add(1)
-		if s.draining.Load() {
-			s.wg.Done()
+		// Shutdown waits for these. The draining re-check under drainMu
+		// closes a race with Shutdown's wg.Wait: a handler past the entry
+		// check could otherwise Add after Wait already returned and leak
+		// the computation past "drain complete" (mid-Cache.Put at exit).
+		s.drainMu.Lock()
+		draining := s.draining.Load()
+		if !draining {
+			s.wg.Add(1)
+		}
+		s.drainMu.Unlock()
+		if draining {
 			call.Finish(nil, errDraining)
 		} else if forward {
 			go s.runForward(call, meta, req, lib, memLimit, key, owner)
@@ -860,11 +872,15 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Optimiz
 	if req.Options.TimeoutMs < 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", req.Options.TimeoutMs)
 	}
-	if req.Options.K1 < 0 || req.Options.K2 < 0 || req.Options.S < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("negative selection limit (k1 %d, k2 %d, s %d)",
-			req.Options.K1, req.Options.K2, req.Options.S)
+	if err := req.Options.policy().Validate(); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	return &req, 0, nil
+}
+
+// policy is the selection policy the request's options ask for.
+func (o RequestOptions) policy() selection.Policy {
+	return selection.Policy{K1: o.K1, K2: o.K2, Theta: o.Theta, S: o.S}
 }
 
 // compute runs one optimization and marshals the deterministic payload.
@@ -897,12 +913,7 @@ func (s *Server) compute(req *OptimizeRequest, lib plan.Library, memLimit int64,
 		sub = nil
 	}
 	o, err := optimizer.New(olib, optimizer.Options{
-		Policy: selection.Policy{
-			K1:    req.Options.K1,
-			K2:    req.Options.K2,
-			Theta: req.Options.Theta,
-			S:     req.Options.S,
-		},
+		Policy:        req.Options.policy(),
 		MemoryLimit:   memLimit,
 		SkipPlacement: req.Options.SkipPlacement,
 		Workers:       workers,

@@ -462,6 +462,27 @@ func TestMemoryLimitRejected(t *testing.T) {
 	}
 }
 
+// TestOversizeTreeRejected posts a 2×2 slicing of four largest-extent
+// modules, whose envelope would overflow the int64 area: the server must
+// answer 400 naming the whole-problem bound, not compute a wrong area.
+func TestOversizeTreeRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const e = plan.MaxExtent
+	lib := plan.Library{}
+	for _, m := range []string{"a", "b", "c", "d"} {
+		lib[m] = []shape.RImpl{{W: e, H: e}}
+	}
+	status, raw, _ := postOptimize(t, ts, &OptimizeRequest{
+		Tree: plan.NewHSlice(
+			plan.NewVSlice(plan.NewLeaf("a"), plan.NewLeaf("b")),
+			plan.NewVSlice(plan.NewLeaf("c"), plan.NewLeaf("d"))),
+		Library: lib,
+	})
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "maximum extent 2147483647") {
+		t.Fatalf("status %d (body %s), want 400 naming the bound", status, raw)
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 512})
 
@@ -494,6 +515,8 @@ func TestRequestValidation(t *testing.T) {
 		{"negative k1", `{` + tree + `,` + lib + `,"options":{"k1":-3}}`, http.StatusBadRequest},
 		{"negative k2", `{` + tree + `,` + lib + `,"options":{"k2":-3}}`, http.StatusBadRequest},
 		{"negative s", `{` + tree + `,` + lib + `,"options":{"s":-1}}`, http.StatusBadRequest},
+		{"k1 of one", `{` + tree + `,` + lib + `,"options":{"k1":1}}`, http.StatusBadRequest},
+		{"theta above one", `{` + tree + `,` + lib + `,"options":{"theta":2}}`, http.StatusBadRequest},
 		{"oversized body", `{` + tree + `,` + lib + `,"pad":"` + strings.Repeat("x", 600) + `"}`,
 			http.StatusRequestEntityTooLarge},
 	}

@@ -1,11 +1,10 @@
 // Package substore is the optimizer's cross-request subtree memo: a
-// bounded, sharded, content-addressed store of per-node evaluation
-// results, keyed by the Merkle-style subtree digests of
-// plan.SubtreeDigests. Where internal/cache memoizes whole workloads
-// (all-or-nothing per request), this store memoizes every node of every
-// evaluated tree — so two requests sharing a sub-floorplan share the
-// work below it, and re-optimizing an edited tree recomputes only the
-// spine from the changed leaf to the root.
+// bounded, content-addressed store of per-node evaluation results, keyed
+// by the Merkle-style subtree digests of plan.SubtreeDigests. Where the
+// result cache memoizes whole workloads (all-or-nothing per request), this
+// store memoizes every node of every evaluated tree — so two requests
+// sharing a sub-floorplan share the work below it, and re-optimizing an
+// edited tree recomputes only the spine from the changed leaf to the root.
 //
 // Values are NodeRecords: the node's retained shape curve (rectangular
 // list or L-shaped set) plus the exact evaluation statistics the
@@ -14,250 +13,75 @@
 // than just the curve is what keeps spliced runs byte-identical to fresh
 // ones — the hard requirement of the store.
 //
-// Keys live in a namespace disjoint from internal/cache's full-workload
+// Keys live in a namespace disjoint from the result cache's full-workload
 // keys by construction: subtree digest preimages start with a reserved
 // tag byte (see plan.SubtreeDigests), so no subtree digest can equal a
 // workload key even though both are SHA-256 values.
 //
-// Storage is bounded by a byte budget accounted through an
-// internal/memtrack.Tracker with per-shard LRU eviction, mirroring
-// internal/cache. All operations are safe for concurrent use; locking is
-// per shard. A nil *Store is the disabled state.
+// A Store is the internal/cache LRU recording the substore.* counter
+// family; this package adds only the record codec (record.go) on top.
+// A nil *Store is the disabled state.
 package substore
 
 import (
-	"container/list"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"floorplan/internal/memtrack"
+	"floorplan/internal/cache"
 	"floorplan/internal/plan"
 	"floorplan/internal/telemetry"
 )
 
-// entryOverhead approximates the per-entry bookkeeping cost (key, map slot,
-// LRU node) charged against the byte budget in addition to the payload.
-const entryOverhead = 128
+// Config sizes a Store: MaxBytes budgets serialized records plus per-entry
+// overhead, and Telemetry receives the substore.* family.
+type Config = cache.Config
 
-// Config sizes a Store.
-type Config struct {
-	// MaxBytes is the budget for serialized records plus per-entry
-	// overhead. Required: New fails on a non-positive budget (a disabled
-	// store is a nil *Store, which every method accepts).
-	MaxBytes int64
-	// Shards is the number of independently locked shards (0 = 16;
-	// rounded up to a power of two).
-	Shards int
-	// Telemetry receives the substore.* counters and the byte-footprint
-	// watermark; nil disables recording.
-	Telemetry *telemetry.Collector
-}
+// Store is the subtree result store. A nil *Store is the disabled state:
+// Get always misses, Put is a no-op.
+type Store cache.Cache
 
-// Store is the sharded subtree result store. A nil *Store is the disabled
-// state: Get always misses, Put is a no-op.
-type Store struct {
-	shards []shard
-	mask   uint32
-	mem    *memtrack.Tracker
-	tel    *telemetry.Collector
+// Stats is a point-in-time snapshot for /v1/stats and tests.
+type Stats = cache.Stats
 
-	hits, misses, evictions, rejects atomic.Int64
-}
-
-type shard struct {
-	mu      sync.Mutex
-	entries map[plan.Digest]*list.Element
-	lru     *list.List // front = most recently used
-}
-
-type entry struct {
-	key  plan.Digest
-	blob []byte
-	size int64
+var counters = cache.Counters{
+	Hits:      telemetry.CtrSubstoreHits,
+	Misses:    telemetry.CtrSubstoreMisses,
+	Evictions: telemetry.CtrSubstoreEvictions,
+	Rejects:   telemetry.CtrSubstoreRejects,
+	PeakBytes: telemetry.MaxSubstoreBytes,
 }
 
 // New builds a store under the given byte budget.
 func New(cfg Config) (*Store, error) {
-	if cfg.MaxBytes <= 0 {
-		return nil, fmt.Errorf("substore: non-positive byte budget %d", cfg.MaxBytes)
+	c, err := cache.NewLRU(cfg, counters)
+	if err != nil {
+		return nil, fmt.Errorf("substore: %w", err)
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	s := &Store{
-		shards: make([]shard, p),
-		mask:   uint32(p - 1),
-		mem:    memtrack.NewTracker(cfg.MaxBytes),
-		tel:    cfg.Telemetry,
-	}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[plan.Digest]*list.Element)
-		s.shards[i].lru = list.New()
-	}
-	return s, nil
+	return (*Store)(c), nil
 }
 
-func (s *Store) shard(k plan.Digest) *shard {
-	return &s.shards[binary.LittleEndian.Uint32(k[:4])&s.mask]
-}
+func (s *Store) lru() *cache.Cache { return (*cache.Cache)(s) }
 
 // Get returns the record stored under k and marks the entry recently
 // used. The record's slices are freshly decoded and owned by the caller.
 // A nil store always misses; a record that fails to decode (format drift)
 // is treated as a miss and dropped.
 func (s *Store) Get(k plan.Digest) (NodeRecord, bool) {
-	if s == nil {
-		return NodeRecord{}, false
-	}
-	sh := s.shard(k)
-	sh.mu.Lock()
-	el, ok := sh.entries[k]
-	var blob []byte
-	if ok {
-		sh.lru.MoveToFront(el)
-		blob = el.Value.(*entry).blob
-	}
-	sh.mu.Unlock()
-	if !ok {
-		s.misses.Add(1)
-		s.tel.Inc(telemetry.CtrSubstoreMisses)
-		return NodeRecord{}, false
-	}
-	rec, err := decodeRecord(blob)
-	if err != nil {
-		// Undecodable entry: drop it and report a miss.
-		s.delete(k)
-		s.misses.Add(1)
-		s.tel.Inc(telemetry.CtrSubstoreMisses)
-		return NodeRecord{}, false
-	}
-	s.hits.Add(1)
-	s.tel.Inc(telemetry.CtrSubstoreHits)
-	return rec, true
+	return cache.GetDecoded(s.lru(), cache.Key(k), decodeRecord)
 }
 
-// Put serializes and stores rec under k, evicting least-recently-used
-// entries of the same shard until the byte budget admits it. Storing an
-// existing key is a no-op (records are content-addressed: same digest,
-// same evaluation). A record the budget can never admit is dropped and
-// counted as a reject.
+// Put serializes and stores rec under k with the LRU's admission rules:
+// storing an existing key is a no-op (records are content-addressed: same
+// digest, same evaluation) and a record the budget can never admit is
+// dropped and counted as a reject.
 func (s *Store) Put(k plan.Digest, rec NodeRecord) {
 	if s == nil {
 		return
 	}
-	blob := appendRecord(nil, rec)
-	size := int64(len(blob)) + entryOverhead
-	if size > s.mem.Limit() {
-		// Never admissible: reject before sacrificing resident entries.
-		s.rejects.Add(1)
-		s.tel.Inc(telemetry.CtrSubstoreRejects)
-		return
-	}
-	sh := s.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.entries[k]; exists {
-		return
-	}
-	for {
-		err := s.mem.Add(size)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, memtrack.ErrLimit) || sh.lru.Len() == 0 {
-			// Oversize for the whole budget, or this shard has nothing
-			// left to give back: drop the record.
-			s.rejects.Add(1)
-			s.tel.Inc(telemetry.CtrSubstoreRejects)
-			return
-		}
-		s.evictOldest(sh)
-	}
-	el := sh.lru.PushFront(&entry{key: k, blob: blob, size: size})
-	sh.entries[k] = el
-	s.tel.Observe(telemetry.MaxSubstoreBytes, s.mem.Current())
+	s.lru().Put(cache.Key(k), appendRecord(nil, rec))
 }
 
-// delete removes the entry stored under k, if present.
-func (s *Store) delete(k plan.Digest) {
-	sh := s.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[k]
-	if !ok {
-		return
-	}
-	e := el.Value.(*entry)
-	sh.lru.Remove(el)
-	delete(sh.entries, e.key)
-	_ = s.mem.Release(e.size)
-}
-
-// evictOldest removes the shard's least-recently-used entry and releases
-// its bytes. The shard lock must be held.
-func (s *Store) evictOldest(sh *shard) {
-	el := sh.lru.Back()
-	if el == nil {
-		return
-	}
-	e := el.Value.(*entry)
-	sh.lru.Remove(el)
-	delete(sh.entries, e.key)
-	// Release cannot fail here: every stored entry's size was admitted.
-	_ = s.mem.Release(e.size)
-	s.evictions.Add(1)
-	s.tel.Inc(telemetry.CtrSubstoreEvictions)
-}
-
-// Len returns the number of records across all shards.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Stats is a point-in-time snapshot for /v1/stats and tests.
-type Stats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	PeakBytes int64 `json:"peak_bytes"`
-	Budget    int64 `json:"budget"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Rejects   int64 `json:"rejects"`
-}
+// Len returns the number of records.
+func (s *Store) Len() int { return s.lru().Len() }
 
 // Stats snapshots the store. A nil store reports zeros.
-func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
-	return Stats{
-		Entries:   s.Len(),
-		Bytes:     s.mem.Current(),
-		PeakBytes: s.mem.Admitted(),
-		Budget:    s.mem.Limit(),
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Evictions: s.evictions.Load(),
-		Rejects:   s.rejects.Load(),
-	}
-}
+func (s *Store) Stats() Stats { return s.lru().Stats() }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"floorplan/internal/cache"
 	"floorplan/internal/plan"
 	"floorplan/internal/shape"
 )
@@ -116,83 +117,23 @@ func TestStoreGetPut(t *testing.T) {
 	}
 }
 
-// TestStoreEviction fills a small store past its budget and checks that
-// LRU entries are evicted, the budget is never exceeded, and recently used
-// entries survive over stale ones.
-func TestStoreEviction(t *testing.T) {
-	// Single shard so LRU order is global and deterministic.
-	s, err := New(Config{MaxBytes: 4 * (entryOverhead + 64), Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		s.Put(digest(byte(i)), rRecord(int64(i+1)))
-		// Keep key 0 hot so eviction takes the stale middle keys.
-		s.Get(digest(0))
-		if cur := s.Stats().Bytes; cur > s.Stats().Budget {
-			t.Fatalf("over budget: %d", cur)
-		}
-	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions under a 4-entry budget")
-	}
-	if st.Entries >= 32 {
-		t.Fatalf("store kept all %d entries", st.Entries)
-	}
-	if _, ok := s.Get(digest(0)); !ok {
-		t.Fatal("hot key was evicted over stale ones")
-	}
-	if _, ok := s.Get(digest(1)); ok {
-		t.Fatal("stale key 1 survived 31 younger puts in a 4-entry budget")
-	}
-}
-
-// TestStoreRejectsOversize checks that a record larger than the whole
-// budget is dropped without sacrificing resident entries.
-func TestStoreRejectsOversize(t *testing.T) {
-	s, err := New(Config{MaxBytes: entryOverhead + 64, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put(digest(1), rRecord(4))
-	if s.Len() != 1 {
-		t.Fatal("small record not admitted")
-	}
-	big := NodeRecord{RL: make(shape.RList, 4096)}
-	for i := range big.RL {
-		big.RL[i] = shape.RImpl{W: int64(i + 1), H: int64(4096 - i)}
-	}
-	s.Put(digest(2), big)
-	if _, ok := s.Get(digest(2)); ok {
-		t.Fatal("oversize record admitted")
-	}
-	if _, ok := s.Get(digest(1)); !ok {
-		t.Fatal("oversize reject evicted a resident entry")
-	}
-	if s.Stats().Rejects != 1 {
-		t.Fatalf("rejects = %d, want 1", s.Stats().Rejects)
-	}
-}
-
-// TestStoreDropsUndecodable plants a corrupt blob and checks Get treats it
-// as a miss and removes it.
+// TestStoreDropsUndecodable plants a corrupt blob through the LRU and
+// checks Get treats it as a miss (not a hit) and removes it.
 func TestStoreDropsUndecodable(t *testing.T) {
 	s, err := New(Config{MaxBytes: 1 << 20, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := digest(3)
-	s.Put(k, rRecord(4))
-	sh := s.shard(k)
-	sh.mu.Lock()
-	sh.entries[k].Value.(*entry).blob = []byte{recordVersion + 9}
-	sh.mu.Unlock()
+	s.lru().Put(cache.Key(k), []byte{recordVersion + 9})
 	if _, ok := s.Get(k); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
 	if s.Len() != 0 {
 		t.Fatal("corrupt record left resident")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.Bytes != 0 {
+		t.Fatalf("stats after dropping a corrupt record: %+v", st)
 	}
 }
 
@@ -205,44 +146,5 @@ func TestNilStore(t *testing.T) {
 	s.Put(digest(1), rRecord(4))
 	if s.Len() != 0 || s.Stats() != (Stats{}) {
 		t.Fatal("nil store reported state")
-	}
-}
-
-// TestNewRejectsNonPositiveBudget: a disabled store is a nil *Store, not a
-// zero-budget one.
-func TestNewRejectsNonPositiveBudget(t *testing.T) {
-	for _, b := range []int64{0, -1} {
-		if _, err := New(Config{MaxBytes: b}); err == nil {
-			t.Fatalf("New accepted budget %d", b)
-		}
-	}
-}
-
-// TestStoreConcurrent hammers one store from many goroutines under the
-// race detector.
-func TestStoreConcurrent(t *testing.T) {
-	s, err := New(Config{MaxBytes: 8 * (entryOverhead + 64), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 200; i++ {
-				k := digest(byte((g*37 + i) % 64))
-				if i%2 == 0 {
-					s.Put(k, rRecord(int64(i%7+1)))
-				} else {
-					s.Get(k)
-				}
-			}
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if st := s.Stats(); st.Bytes > st.Budget {
-		t.Fatalf("over budget: %+v", st)
 	}
 }
