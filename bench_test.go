@@ -186,10 +186,12 @@ func benchLList(n int) shape.LList {
 	return l
 }
 
-// BenchmarkLSelect measures L_Selection (Theorem 3: O(n³)) on a 500-entry
-// L-list — the S-capped worst case of one Section 5 invocation.
+// BenchmarkLSelect measures Manhattan L_Selection (O(k n log² n) with O(n)
+// scratch, below Theorem 3's O(n³)) on a 500-entry L-list — the S-capped
+// worst case of one Section 5 invocation.
 func BenchmarkLSelect(b *testing.B) {
 	l := benchLList(500)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := selection.LSelect(l, 100); err != nil {

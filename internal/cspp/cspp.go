@@ -12,14 +12,12 @@
 // The entry points are:
 //
 //   - Solve runs on an explicit Graph, exactly as in the paper.
-//   - SolveDenseColumns runs on the implicit complete DAG over vertices
-//     0..n-1 (every edge i→j with i < j present, weights from a per-column
-//     callback). This is the instance both selection algorithms generate
-//     (Sections 4.2–4.3); skipping graph materialization keeps their memory
-//     at O(kn).
-//   - SolveDenseMonge and SweepDenseMonge run on the same implicit DAG when
-//     its weights are Monge, in O(k n log n) instead of O(k n²): R_Selection's
-//     staircase error is.
+//   - SolveDenseMonge and SweepDenseMonge run on the implicit complete DAG
+//     over vertices 0..n-1 (every edge i→j with i < j present, weights from
+//     a callback) when its weights are Monge, in O(k n log n) instead of
+//     O(k n²). This is the instance both selection algorithms generate
+//     (Sections 4.2–4.3), and both errors are Monge; skipping graph
+//     materialization keeps their memory at O(kn).
 package cspp
 
 import (
@@ -138,10 +136,6 @@ func (g *Graph) acyclic() bool {
 type dpState struct {
 	prev, cur []int64
 	pred      [][]int32
-	// wt and col serve SolveDenseColumns: the full (k+1)×n weight table its
-	// j-major order needs, and the reusable edge-weight column buffer.
-	wt  [][]int64
-	col []int64
 }
 
 var dpPool = sync.Pool{New: func() any { return new(dpState) }}
@@ -199,37 +193,6 @@ func (d *dpState) row(l, n int) []int32 {
 	}
 	d.pred[l] = d.pred[l][:n]
 	return d.pred[l]
-}
-
-// wrow returns the weight row for layer l, sized for n vertices and filled
-// with Inf.
-func (d *dpState) wrow(l, n int) []int64 {
-	if cap(d.wt) < l+1 {
-		wt := make([][]int64, l+1)
-		copy(wt, d.wt)
-		d.wt = wt
-	}
-	if len(d.wt) < l+1 {
-		d.wt = d.wt[:l+1]
-	}
-	if cap(d.wt[l]) < n {
-		d.wt[l] = make([]int64, n)
-	}
-	d.wt[l] = d.wt[l][:n]
-	for v := range d.wt[l] {
-		d.wt[l][v] = Inf
-	}
-	return d.wt[l]
-}
-
-// colRun returns the column buffer sized for n vertices (not cleared; the
-// column callback assigns every entry the DP reads).
-func (d *dpState) colRun(n int) []int64 {
-	if cap(d.col) < n {
-		d.col = make([]int64, n)
-	}
-	d.col = d.col[:n]
-	return d.col
 }
 
 func (d *dpState) release() { dpPool.Put(d) }
@@ -302,82 +265,6 @@ func Solve(g *Graph, s, t, k int) (Result, error) {
 	return Result{Path: path, Weight: prev[t]}, nil
 }
 
-// ColumnFunc fills col[u] = w(u, v) for every 0 <= u < v, the incoming edge
-// weights of dense-DAG vertex v. len(col) == v.
-type ColumnFunc func(v int, col []int64)
-
-// SolveDenseColumns solves the CSPP on the complete DAG over 0..n-1 with
-// source 0 and sink n-1: it returns the k vertex indices of a
-// minimum-weight path visiting exactly k vertices. This is the reduction
-// target of L_Selection, where vertex i is the i-th implementation of an
-// irreducible list and w(i,j) = error(l_i, l_j); R_Selection, whose error is
-// Monge, uses SolveDenseMonge.
-//
-// The DP runs in j-major order: it visits each vertex v once, asks the
-// callback for v's full incoming weight column, and relaxes every feasible
-// layer against it. Callers whose edge weights come from a per-column
-// recurrence (the selection error tables of Sections 4.2–4.3) generate each
-// column exactly once instead of once per layer and never materialize the
-// O(n²) error table at all. Ties break toward the lowest predecessor u, so
-// results are identical to Solve on the materialized complete DAG with
-// edges added in u-ascending order (pinned by tests).
-//
-// Memory is O(kn) for the weight table — the same order as the predecessor
-// table.
-func SolveDenseColumns(n, k int, column ColumnFunc) ([]int, int64, error) {
-	if err := checkDense(n, k); err != nil {
-		return nil, 0, err
-	}
-	if k == 1 {
-		return []int{0}, 0, nil
-	}
-	d := getDP(n, k)
-	defer d.release()
-	col := d.colRun(n)
-	for l := 1; l <= k; l++ {
-		d.wrow(l, n)
-	}
-	wt := d.wt
-	wt[1][0] = 0
-	for l := 2; l <= k; l++ {
-		pred := d.row(l, n)
-		for v := range pred {
-			pred[v] = -1
-		}
-	}
-	for v := 1; v < n; v++ {
-		column(v, col[:v])
-		// v can sit at layer l only with l-1 predecessors before it and
-		// k-l successors after it.
-		lmin := k - (n - 1 - v)
-		if lmin < 2 {
-			lmin = 2
-		}
-		lmax := v + 1
-		if lmax > k {
-			lmax = k
-		}
-		for l := lmin; l <= lmax; l++ {
-			prevRow := wt[l-1]
-			best, bestAt := Inf, int32(-1)
-			for u := l - 2; u < v; u++ {
-				if prevRow[u] == Inf {
-					continue
-				}
-				if w := prevRow[u] + col[u]; w < best {
-					best, bestAt = w, int32(u)
-				}
-			}
-			wt[l][v] = best
-			d.pred[l][v] = bestAt
-		}
-	}
-	if wt[k][n-1] == Inf {
-		return nil, 0, ErrNoPath
-	}
-	return d.path(n, k), wt[k][n-1], nil
-}
-
 // checkDense validates a dense instance: n >= 1 vertices and 1 <= k <= n.
 // k == 1 has a path only when the source is the sink.
 func checkDense(n, k int) error {
@@ -408,10 +295,16 @@ func (d *dpState) path(n, k int) []int {
 // CostFunc returns w(u, v), the weight of dense-DAG edge u→v for u < v.
 type CostFunc func(u, v int) int64
 
-// SolveDenseMonge is SolveDenseColumns for Monge weights: it returns the
-// same path and weight whenever
+// SolveDenseMonge solves the CSPP on the complete DAG over 0..n-1 with
+// source 0 and sink n-1: it returns the k vertex indices of a
+// minimum-weight path visiting exactly k vertices, provided the weights are
+// Monge:
 //
 //	w(u, v) + w(u', v') <= w(u', v) + w(u, v')   for all u < u' < v < v'.
+//
+// This is the reduction target of both selections, where vertex i is the
+// i-th implementation of an irreducible list and w(i,j) the error of
+// discarding everything strictly between i and j.
 //
 // Adding W(s,u,l-1) to row u keeps a layer's candidate matrix Monge, and on
 // a Monge matrix the leftmost minimizing u is nondecreasing in v: were
@@ -420,9 +313,10 @@ type CostFunc func(u, v int) int64
 // solved by divide and conquer — the middle v by a scan, then each half with
 // its u range cut at that argmin — in O(n log n) weight evaluations, for
 // O(k n log n) in all (Aggarwal–Schieber–Tokuyama). Taking the leftmost
-// minimum keeps SolveDenseColumns' lowest-u tie-break, so the two agree bit
-// for bit. On non-Monge weights the result is a path but not necessarily a
-// shortest one.
+// minimum is the lowest-u tie-break, so results are identical to Solve on
+// the materialized complete DAG with edges added in u-ascending order
+// (pinned by tests). On non-Monge weights the result is a path but not
+// necessarily a shortest one.
 //
 // Memory is O(kn) for the predecessor table plus two rolling weight rows.
 func SolveDenseMonge(n, k int, cost CostFunc) ([]int, int64, error) {
@@ -436,9 +330,14 @@ func SolveDenseMonge(n, k int, cost CostFunc) ([]int, int64, error) {
 	defer d.release()
 	d.prev[0] = 0
 	for l := 2; l <= k; l++ {
-		// Trimmed like SolveDenseColumns: v at layer l needs k-l successors.
-		vhi := n - 1 - (k - l)
-		d.mongeStep(l, vhi, d.row(l, n), cost)
+		// v at layer l needs k-l successors after it, so the last layer is
+		// the sink alone: one scan instead of a whole layer, a large share
+		// of the DP at the small k most L_Selections run with.
+		vlo, vhi := l-1, n-1-(k-l)
+		if l == k {
+			vlo = n - 1
+		}
+		d.mongeStep(l, vlo, vhi, d.row(l, n), cost)
 	}
 	return d.path(n, k), d.prev[n-1], nil
 }
@@ -458,22 +357,22 @@ func SweepDenseMonge(n, kmax int, cost CostFunc) ([]int64, error) {
 	w := make([]int64, kmax+1)
 	w[0], w[1] = Inf, Inf
 	for l := 2; l <= kmax; l++ {
-		d.mongeStep(l, n-1, pred, cost)
+		d.mongeStep(l, l-1, n-1, pred, cost)
 		w[l] = d.prev[n-1]
 	}
 	return w, nil
 }
 
 // mongeStep advances the rolling rows from layer l-1 to layer l over the
-// vertices v in [l-1, vhi]. prev must hold layer l-1, finite on
+// vertices v in [vlo, vhi], vlo >= l-1. prev must hold layer l-1, finite on
 // [l-2, vhi-1] (layer 1 is vertex 0 alone); afterwards prev holds layer l
-// and pred[v] its leftmost argmins.
-func (d *dpState) mongeStep(l, vhi int, pred []int32, cost CostFunc) {
+// on [vlo, vhi] and pred[v] its leftmost argmins.
+func (d *dpState) mongeStep(l, vlo, vhi int, pred []int32, cost CostFunc) {
 	uhi := vhi - 1
 	if l == 2 {
 		uhi = 0
 	}
-	mongeLayer(d.prev, d.cur, pred, cost, l-1, vhi, l-2, uhi)
+	mongeLayer(d.prev, d.cur, pred, cost, vlo, vhi, l-2, uhi)
 	d.prev, d.cur = d.cur, d.prev
 }
 

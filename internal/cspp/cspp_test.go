@@ -3,6 +3,7 @@ package cspp
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -233,15 +234,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// columnsOf adapts a dense weight matrix to SolveDenseColumns.
-func columnsOf(w [][]int64) ColumnFunc {
-	return func(v int, col []int64) {
-		for u := range col {
-			col[u] = w[u][v]
-		}
-	}
-}
-
 // completeDAG materializes the complete DAG over w for the reference Solve,
 // adding each vertex's incoming edges in u-ascending order.
 func completeDAG(t *testing.T, w [][]int64) *Graph {
@@ -257,95 +249,55 @@ func completeDAG(t *testing.T, w [][]int64) *Graph {
 	return g
 }
 
-func TestSolveDenseMatchesExplicit(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(12)
-		w := make([][]int64, n)
-		for i := range w {
-			w[i] = make([]int64, n)
-			for j := i + 1; j < n; j++ {
-				w[i][j] = rng.Int63n(50)
-			}
-		}
-		k := 2 + rng.Intn(n-1)
-		path, weight, err := SolveDenseColumns(n, k, columnsOf(w))
-		if err != nil {
-			t.Fatalf("SolveDenseColumns: %v", err)
-		}
-		res, err := Solve(completeDAG(t, w), 0, n-1, k)
-		if err != nil {
-			t.Fatalf("Solve: %v", err)
-		}
-		if weight != res.Weight {
-			t.Fatalf("dense weight %d != explicit %d (n=%d k=%d)", weight, res.Weight, n, k)
-		}
-		if len(path) != k || path[0] != 0 || path[k-1] != n-1 {
-			t.Fatalf("dense path malformed: %v", path)
-		}
-		var sum int64
-		for i := 0; i+1 < len(path); i++ {
-			if path[i] >= path[i+1] {
-				t.Fatalf("dense path not increasing: %v", path)
-			}
-			sum += w[path[i]][path[i+1]]
-		}
-		if sum != weight {
-			t.Fatalf("dense path weight %d != reported %d", sum, weight)
-		}
-	}
-}
-
 // TestSolveDenseEdgeCases covers the dense solver's bounds not exercised by
 // TestSolveDenseColumnsEdgeCases: k < 1, and k = n selecting everything.
 func TestSolveDenseEdgeCases(t *testing.T) {
-	if _, _, err := SolveDenseColumns(5, 0, nil); err == nil {
+	span := func(u, v int) int64 { return int64((v - u) * (v - u)) }
+	if _, _, err := SolveDenseMonge(5, 0, span); err == nil {
 		t.Error("expected error for k < 1")
 	}
-	path, weight, err := SolveDenseColumns(4, 4, func(v int, col []int64) {
-		for u := range col {
-			col[u] = 100
-			if u == v-1 {
-				col[u] = 1
-			}
-		}
-	})
-	if err != nil || weight != 3 {
+	path, weight, err := SolveDenseMonge(4, 4, span)
+	if err != nil || weight != 3 || !slices.Equal(path, []int{0, 1, 2, 3}) {
 		t.Fatalf("k=n: %v %d %v", path, weight, err)
 	}
 }
 
 func TestSolveDenseKTwo(t *testing.T) {
-	// k=2 must take the direct edge 0 -> n-1.
-	path, weight, err := SolveDenseColumns(6, 2, func(v int, col []int64) {
-		for u := range col {
-			col[u] = int64(10*u + v)
-		}
+	// k=2 must take the direct edge 0 -> n-1. Additive weights are Monge.
+	path, weight, err := SolveDenseMonge(6, 2, func(u, v int) int64 {
+		return int64(10*u + v)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if weight != 5 || len(path) != 2 || path[0] != 0 || path[1] != 5 {
+	if weight != 5 || !slices.Equal(path, []int{0, 5}) {
 		t.Fatalf("k=2: %v %d", path, weight)
 	}
 }
 
 // TestPooledBuffersReuse solves instances of varying sizes back to back and
 // concurrently, checking that the recycled DP tables never leak state
-// between solves. The weights make the optimal path unique so any
-// contamination would flip the result. They are convex in v-u, hence Monge,
-// so the column and Monge solvers alternate on the same pooled states.
+// between solves: any contamination would change a weight or a path. The
+// weights are convex in v-u, hence Monge, so the Monge solver and Solve on
+// the materialized complete DAG alternate on the same pooled states and
+// must agree bit for bit.
 func TestPooledBuffersReuse(t *testing.T) {
+	span := func(u, v int) int64 { return int64((v - u) * (v - u)) }
 	var calls atomic.Int64
 	solve := func(n, k int) ([]int, int64, error) {
 		if calls.Add(1)%2 == 0 {
-			return SolveDenseMonge(n, k, func(u, v int) int64 { return int64((v - u) * (v - u)) })
+			return SolveDenseMonge(n, k, span)
 		}
-		return SolveDenseColumns(n, k, func(v int, col []int64) {
-			for u := range col {
-				col[u] = int64((v - u) * (v - u))
+		g := MustGraph(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if err := g.AddEdge(u, v, span(u, v)); err != nil {
+					return nil, 0, err
+				}
 			}
-		})
+		}
+		res, err := Solve(g, 0, n-1, k)
+		return res.Path, res.Weight, err
 	}
 	// Sequential size churn: big, small, big again.
 	for _, nk := range [][2]int{{40, 10}, {3, 2}, {40, 10}, {8, 8}, {40, 40}} {
@@ -357,8 +309,8 @@ func TestPooledBuffersReuse(t *testing.T) {
 		if len(path) != k || path[0] != 0 || path[k-1] != n-1 {
 			t.Fatalf("n=%d k=%d: bad path %v", n, k, path)
 		}
-		if ref, refW, _ := solve(n, k); refW != w || len(ref) != len(path) {
-			t.Fatalf("n=%d k=%d: unstable weight %d vs %d", n, k, w, refW)
+		if ref, refW, _ := solve(n, k); refW != w || !slices.Equal(ref, path) {
+			t.Fatalf("n=%d k=%d: %v (weight %d) vs %v (weight %d)", n, k, path, w, ref, refW)
 		}
 	}
 	// Concurrent solves (run with -race): the pool must isolate states.

@@ -345,11 +345,9 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 	st.arenaLedger = memtrack.NewTracker(0)
 	st.allocs = newAllocs(workers, st.arenaLedger)
 	var poolSolves0, poolHits0, poolMisses0 int64
-	var fusedR0, fusedL0, tableL0 int64
 	evalSpanStart := st.tel.Now()
 	if st.tel != nil {
 		poolSolves0, poolHits0, poolMisses0 = cspp.PoolCounters()
-		fusedR0, fusedL0, tableL0 = selection.FusedCounters()
 	}
 	start := time.Now()
 	var evalErr error
@@ -383,10 +381,6 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 		st.tel.Add(telemetry.CtrCSPPSolves, solves-poolSolves0)
 		st.tel.Add(telemetry.CtrCSPPPoolHits, hits-poolHits0)
 		st.tel.Add(telemetry.CtrCSPPPoolMiss, misses-poolMisses0)
-		fusedR, fusedL, tableL := selection.FusedCounters()
-		st.tel.Add(telemetry.CtrFusedRSelect, fusedR-fusedR0)
-		st.tel.Add(telemetry.CtrFusedLSelect, fusedL-fusedL0)
-		st.tel.Add(telemetry.CtrTableLSelect, tableL-tableL0)
 		st.tel.Observe(telemetry.MaxArenaBytes, st.arenaLedger.Peak())
 		st.emitTelemetry(schedule, stats)
 	}

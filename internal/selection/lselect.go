@@ -19,19 +19,36 @@ type LResult struct {
 }
 
 // LSelect is the paper's L_Selection (Section 4.3): it optimally selects k
-// implementations from an irreducible L-list minimizing ERROR(L, L'), by
-// building the Compute_L_Error table and solving the CSPP on the complete
-// interval DAG over list positions. Both endpoints are always retained.
+// implementations from a canonical irreducible L-list minimizing the
+// Manhattan ERROR(L, L'), by solving the CSPP on the complete interval DAG
+// over list positions whose edge (i, j) costs error(l_i, l_j). Both
+// endpoints are always retained.
 //
-// Complexity: O(n^3) time dominated by Compute_L_Error (Theorem 3), O(n^2)
-// memory for the table. Callers bound n with HeuristicLReduce first (the
-// paper's Section 5 "S" technique) when lists are long.
+// Complexity: O(k n log^2 n) time and O(n) scratch beside the DP's O(kn)
+// predecessor table, below Theorem 3's O(n^3): the error is Monge (see
+// LSelectMetric), so cspp.SolveDenseMonge reads O(k n log n) errors, each
+// an O(log n) binary search on prefix sums (lErrorL1). Callers bound n with
+// HeuristicLReduce first (the paper's Section 5 "S" technique) when lists
+// are long.
 func LSelect(l shape.LList, k int) (LResult, error) {
 	return LSelectMetric(l, k, Manhattan)
 }
 
 // LSelectMetric is L_Selection under an arbitrary distance metric; the
 // paper's footnote 2 observes that every lemma holds for any L_p metric.
+//
+// Every supported metric makes the L-error Monge. On a canonical list each
+// coordinate is monotone and each metric grows with any one coordinate
+// difference, so d(u,q) >= d(u',q) for u < u' < q and d(q,v) <= d(q,v') for
+// q < v < v'. For u < u' < v < v', compare E(u,v) + E(u',v') with
+// E(u',v) + E(u,v') one discarded q at a time: a q in (u, u'] or [v, v')
+// appears once per side and the left side pays the smaller distance; a q in
+// (u', v) appears in all four terms, and with a >= a', b' >= b,
+// min(a,b) + min(a',b') <= min(a',b) + min(a,b') (min is supermodular). So
+// every metric runs on cspp.SolveDenseMonge, and a list that is not
+// canonical is rejected. Manhattan reads each error in O(log n); the other
+// metrics build the O(n^3) Compute_L_Error table first, then run the
+// O(k n log n) DP on it.
 func LSelectMetric(l shape.LList, k int, m Metric) (LResult, error) {
 	if !m.Valid() {
 		return LResult{}, fmt.Errorf("selection: unknown metric %v", m)
@@ -46,18 +63,16 @@ func LSelectMetric(l shape.LList, k int, m Metric) (LResult, error) {
 	if k < 2 {
 		return LResult{}, fmt.Errorf("selection: LSelect needs k >= 2 to keep both endpoints, got k=%d for n=%d", k, n)
 	}
-	if m == Manhattan && lListTelescopes(l) {
-		// Fused pass: error columns from prefix sums, no O(n³) table. The
-		// selection is bit-identical to the table path (see fused.go).
-		return lSelectFused(l, k)
+	if !lListTelescopes(l) {
+		return LResult{}, fmt.Errorf("selection: LSelect needs a canonical L-list (constant W2, W1 nonincreasing, H1 and H2 nondecreasing)")
 	}
-	tableLPasses.Add(1)
-	table := ComputeLErrorMetric(l, m)
-	indices, weight, err := cspp.SolveDenseColumns(n, k, func(v int, col []int64) {
-		for u := range col {
-			col[u] = table.At(u, v)
-		}
-	})
+	var cost cspp.CostFunc
+	if m == Manhattan {
+		cost = newLErrorL1(l).at
+	} else {
+		cost = ComputeLErrorMetric(l, m).At
+	}
+	indices, weight, err := cspp.SolveDenseMonge(n, k, cost)
 	if err != nil {
 		return LResult{}, fmt.Errorf("selection: LSelect CSPP: %w", err)
 	}
@@ -66,6 +81,22 @@ func LSelectMetric(l shape.LList, k int, m Metric) (LResult, error) {
 		return LResult{}, fmt.Errorf("selection: LSelect traceback: %w", err)
 	}
 	return LResult{Selected: sub, Indices: indices, Error: weight}, nil
+}
+
+// lListTelescopes reports whether l is canonical in the sense the Monge
+// proof above needs: constant W2, W1 nonincreasing, H1 and H2 nondecreasing
+// (LList.Validate checks the same order). Under it the L1 distance between
+// positions i < q also telescopes to s(q) - s(i) with s = H1 + H2 - W1,
+// which lErrorL1 reads. Every list the optimizer builds is canonical; the
+// O(n) check keeps a caller's malformed list from a silently wrong answer.
+func lListTelescopes(l shape.LList) bool {
+	for i := 1; i < len(l); i++ {
+		if l[i].W2 != l[0].W2 || l[i].W1 > l[i-1].W1 ||
+			l[i].H1 < l[i-1].H1 || l[i].H2 < l[i-1].H2 {
+			return false
+		}
+	}
+	return true
 }
 
 func identityL(l shape.LList) LResult {
@@ -99,7 +130,7 @@ func LSelectBrute(l shape.LList, k int) (LResult, error) {
 	var rec func(pos, from int)
 	rec = func(pos, from int) {
 		if pos == k-1 {
-			e, err := LSubsetError(l, indices)
+			e, err := LSubsetErrorMetric(l, indices, Manhattan)
 			if err != nil {
 				panic(err)
 			}

@@ -2,9 +2,11 @@ package selection
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"floorplan/internal/cspp"
 	"floorplan/internal/shape"
 )
 
@@ -54,7 +56,7 @@ func TestLemma3NeighbourFormula(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		n := 3 + rng.Intn(12)
 		l := randomLList(rng, n)
-		table := ComputeLError(l)
+		table := ComputeLErrorMetric(l, Manhattan)
 		// Random subset with endpoints.
 		indices := []int{0}
 		for i := 1; i < n-1; i++ {
@@ -67,7 +69,7 @@ func TestLemma3NeighbourFormula(t *testing.T) {
 		for q := 0; q+1 < len(indices); q++ {
 			viaTable += table.At(indices[q], indices[q+1])
 		}
-		direct, err := LSubsetError(l, indices)
+		direct, err := LSubsetErrorMetric(l, indices, Manhattan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +81,7 @@ func TestLemma3NeighbourFormula(t *testing.T) {
 
 func TestComputeLErrorBasics(t *testing.T) {
 	l := randomLList(rand.New(rand.NewSource(4)), 6)
-	table := ComputeLError(l)
+	table := ComputeLErrorMetric(l, Manhattan)
 	if table.N() != 6 {
 		t.Fatalf("N = %d", table.N())
 	}
@@ -119,7 +121,7 @@ func TestLSelectMatchesBrute(t *testing.T) {
 			t.Logf("n=%d k=%d: fast %d, brute %d", n, k, fast.Error, slow.Error)
 			return false
 		}
-		direct, err := LSubsetError(l, fast.Indices)
+		direct, err := LSubsetErrorMetric(l, fast.Indices, Manhattan)
 		if err != nil || direct != fast.Error {
 			t.Logf("reported %d != direct %d (%v)", fast.Error, direct, err)
 			return false
@@ -157,6 +159,159 @@ func TestLSelectEndpointsKept(t *testing.T) {
 		}
 		if res.Selected[0] != l[0] || res.Selected[k-1] != l[n-1] {
 			t.Fatalf("endpoints dropped: %v", res.Indices)
+		}
+	}
+}
+
+// tieHeavyLList builds a canonical L-list with many repeated
+// s = H1+H2-W1 values, so lErrorL1's split-point search meets ties rather
+// than dodging them.
+func tieHeavyLList(rng *rand.Rand, n int) shape.LList {
+	w2 := int64(2 + rng.Intn(5))
+	l := make(shape.LList, n)
+	w1 := w2 + int64(n) + rng.Int63n(5)
+	h1 := int64(1 + rng.Intn(3))
+	h2 := int64(1 + rng.Intn(3))
+	for i := 0; i < n; i++ {
+		l[i] = shape.LImpl{W1: w1, W2: w2, H1: h1, H2: h2}
+		// Tiny nonnegative steps with frequent zeros keep s(i) tie-heavy
+		// while preserving canonical monotonicity.
+		w1 -= rng.Int63n(2)
+		if w1 < w2 {
+			w1 = w2
+		}
+		h1 += rng.Int63n(2)
+		h2 += rng.Int63n(2)
+	}
+	return l
+}
+
+// TestFusedLColumnMatchesTable pins lErrorL1, the O(log n) error Manhattan
+// L_Selection reads, to the Compute_L_Error table entry by entry, on both
+// strictly monotone and tie-heavy canonical lists.
+func TestFusedLColumnMatchesTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 120; trial++ {
+		n := 2 + rng.Intn(30)
+		var l shape.LList
+		if trial%2 == 0 {
+			l = randomLList(rng, n)
+		} else {
+			l = tieHeavyLList(rng, n)
+		}
+		if !lListTelescopes(l) {
+			t.Fatalf("generator produced a non-canonical list: %v", l)
+		}
+		table := ComputeLErrorMetric(l, Manhattan)
+		e := newLErrorL1(l)
+		for j := 1; j < n; j++ {
+			for i := 0; i < j; i++ {
+				if got, want := e.at(i, j), table.At(i, j); got != want {
+					t.Fatalf("trial %d n=%d: error(%d,%d) = %d, table %d\nlist %v",
+						trial, n, i, j, got, want, l)
+				}
+			}
+		}
+	}
+}
+
+// TestLSelectFusedMatchesTablePath pins L_Selection under every metric to
+// the paper's reduction run verbatim: that metric's Compute_L_Error table
+// materialized as the complete interval DAG and solved by cspp.Solve.
+// Indices and error must be identical for every k in [2, n), on random and
+// tie-heavy canonical lists.
+func TestLSelectFusedMatchesTablePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for trial := 0; trial < 60; trial++ {
+		n := 3 + rng.Intn(25)
+		if trial < 2 {
+			n = 48
+		}
+		var l shape.LList
+		if trial%2 == 0 {
+			l = randomLList(rng, n)
+		} else {
+			l = tieHeavyLList(rng, n)
+		}
+		for _, m := range []Metric{Manhattan, Chebyshev, EuclideanSq} {
+			table := ComputeLErrorMetric(l, m)
+			g := cspp.MustGraph(n)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if err := g.AddEdge(u, v, table.At(u, v)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k := 2; k < n; k++ {
+				want, err := cspp.Solve(g, 0, n-1, k)
+				if err != nil {
+					t.Fatalf("%v n=%d k=%d: Solve: %v", m, n, k, err)
+				}
+				got, err := LSelectMetric(l, k, m)
+				if err != nil {
+					t.Fatalf("%v n=%d k=%d: LSelectMetric: %v", m, n, k, err)
+				}
+				if got.Error != want.Weight || !slices.Equal(got.Indices, want.Path) {
+					t.Fatalf("%v n=%d k=%d: LSelectMetric %v (error %d), Solve %v (weight %d)",
+						m, n, k, got.Indices, got.Error, want.Path, want.Weight)
+				}
+			}
+		}
+	}
+}
+
+// TestLErrorMonge checks the proved property LSelectMetric's solver rests
+// on (DESIGN.md §11): the Compute_L_Error table satisfies the quadrangle
+// inequality under all three metrics on random and tie-heavy canonical
+// L-lists.
+func TestLErrorMonge(t *testing.T) {
+	for _, m := range []Metric{Manhattan, Chebyshev, EuclideanSq} {
+		rng := rand.New(rand.NewSource(74))
+		for trial := 0; trial < 200; trial++ {
+			n := 4 + rng.Intn(16)
+			var l shape.LList
+			if trial%2 == 0 {
+				l = randomLList(rng, n)
+			} else {
+				l = tieHeavyLList(rng, n)
+			}
+			if q, ok := mongeViolation(n, ComputeLErrorMetric(l, m).At); !ok {
+				t.Fatalf("%v: list not Monge at %v: %v", m, q, l)
+			}
+		}
+	}
+}
+
+// TestLListTelescopesGuard checks the canonical-list guard the Monge proof
+// needs: a canonical list selects under every metric, and each
+// monotonicity violation makes LSelectMetric return an error under every
+// metric.
+func TestLListTelescopesGuard(t *testing.T) {
+	base := shape.LList{
+		{W1: 9, W2: 3, H1: 2, H2: 2},
+		{W1: 7, W2: 3, H1: 4, H2: 3},
+		{W1: 5, W2: 3, H1: 6, H2: 5},
+	}
+	metrics := []Metric{Manhattan, Chebyshev, EuclideanSq}
+	for _, m := range metrics {
+		if _, err := LSelectMetric(base, 2, m); err != nil {
+			t.Fatalf("%v: canonical list rejected: %v", m, err)
+		}
+	}
+	mutations := []func(l shape.LList){
+		func(l shape.LList) { l[1].W2 = 4 },  // W2 not constant
+		func(l shape.LList) { l[1].W1 = 10 }, // W1 increases
+		func(l shape.LList) { l[2].H1 = 3 },  // H1 decreases
+		func(l shape.LList) { l[2].H2 = 2 },  // H2 decreases
+	}
+	for i, mutate := range mutations {
+		l := slices.Clone(base)
+		mutate(l)
+		for _, m := range metrics {
+			if _, err := LSelectMetric(l, 2, m); err == nil {
+				t.Errorf("%v: mutation %d accepted: %v", m, i, l)
+			}
 		}
 	}
 }

@@ -76,7 +76,10 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// ComputeLErrorMetric is Compute_L_Error under an arbitrary metric.
+// ComputeLErrorMetric runs the paper's O(n^3) Compute_L_Error under the
+// metric m:
+//
+//	error(l_i, l_j) = sum over i < q < j of min(dist(l_i, l_q), dist(l_q, l_j))
 func ComputeLErrorMetric(l shape.LList, m Metric) *LErrorTable {
 	n := len(l)
 	t := &LErrorTable{n: n, tab: make([]int64, n*n)}
@@ -97,8 +100,12 @@ func ComputeLErrorMetric(l shape.LList, m Metric) *LErrorTable {
 	return t
 }
 
-// LSubsetErrorMetric evaluates ERROR(L, L') from its definition under an
-// arbitrary metric (test oracle; see LSubsetError).
+// LSubsetErrorMetric computes ERROR(L, L') under the metric m directly from
+// the definition — each discarded implementation pays its distance to the
+// nearest retained one, searched over the *whole* retained set rather than
+// just the neighbours. It is the independent oracle used to validate
+// Lemma 3 and the selection results in tests. indices must be strictly
+// increasing and include both endpoints.
 func LSubsetErrorMetric(l shape.LList, indices []int, m Metric) (int64, error) {
 	n := len(l)
 	if len(indices) < 2 || indices[0] != 0 || indices[len(indices)-1] != n-1 {

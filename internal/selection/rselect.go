@@ -56,7 +56,6 @@ func RSelect(l shape.RList, k int) (RResult, error) {
 		// against silent miscomputation.
 		return RResult{}, fmt.Errorf("selection: RSelect CSPP (n=%d, k=%d): %w", n, k, err)
 	}
-	fusedRPasses.Add(1)
 	sub, err := l.Subset(indices)
 	if err != nil {
 		return RResult{}, fmt.Errorf("selection: RSelect traceback: %w", err)

@@ -60,9 +60,6 @@ const (
 	CtrCSPPPoolHits  // DP table pool reuses (capacity already sufficient)
 	CtrCSPPPoolMiss  // DP table pool misses (fresh allocation)
 	CtrBatchWaste    // speculative anneal candidates evaluated then discarded
-	CtrFusedRSelect  // R_Selections solved by the Monge divide-and-conquer DP
-	CtrFusedLSelect  // Manhattan L_Selections solved by the fused prefix-sum pass
-	CtrTableLSelect  // L_Selections that fell back to the error table
 
 	// Serving layer: cross-request cache and request-queue churn. All
 	// runtime-only — hit rates and shedding depend on request arrival
@@ -193,9 +190,6 @@ var counterMeta = [numCounters]metricMeta{
 	CtrCSPPPoolHits:          {name: "cspp.pool_hits", help: "CSPP DP table pool reuses.", runtime: true},
 	CtrCSPPPoolMiss:          {name: "cspp.pool_misses", help: "CSPP DP table pool misses (fresh allocations).", runtime: true},
 	CtrBatchWaste:            {name: "anneal.batch_waste", help: "Speculative anneal candidates evaluated then discarded.", runtime: true},
-	CtrFusedRSelect:          {name: "selection.fused_r", help: "R_Selections solved by the Monge divide-and-conquer DP.", runtime: true},
-	CtrFusedLSelect:          {name: "selection.fused_l", help: "Manhattan L_Selections solved by the fused prefix-sum pass.", runtime: true},
-	CtrTableLSelect:          {name: "selection.table_l", help: "L_Selections that fell back to the materialized error table.", runtime: true},
 	CtrCacheHits:             {name: "cache.hits", help: "Result-cache lookups answered from a stored entry.", runtime: true},
 	CtrCacheMisses:           {name: "cache.misses", help: "Result-cache lookups that fell through to computation.", runtime: true},
 	CtrCacheEvictions:        {name: "cache.evictions", help: "Result-cache entries evicted to fit the byte budget.", runtime: true},
