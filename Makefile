@@ -3,12 +3,12 @@
 # table grid are all exercised concurrently by their tests), focused race
 # passes over the telemetry collector, the shared LRU, the arenas and the
 # serving path, the observability goldens, the benchmark module's vet and
-# tests, and the edit-loop, serve, load and cluster smokes. Performance is
-# measured by the benchmark in bench/ (see bench/README.md), not by make.
+# tests, and the serve, load and cluster smokes. Performance is measured by
+# the benchmark in bench/ (see bench/README.md), not by make.
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-report bench-module race-arena serve-smoke load-smoke cluster-smoke race-serve editloop-smoke obs-check check
+.PHONY: all build test race vet bench bench-report bench-module race-arena serve-smoke load-smoke cluster-smoke race-serve obs-check check
 
 all: build
 
@@ -84,13 +84,6 @@ cluster-smoke:
 race-serve:
 	$(GO) test -race -count=2 ./internal/flight/... ./internal/cluster/... ./internal/server/... ./internal/substore/...
 
-# editloop-smoke is the incremental re-optimization gate: fpbench's edit
-# loop asserts that re-solving after a one-module edit evaluates only the
-# root-to-leaf spine (subtree store splices the rest) and stays
-# bit-identical to store-off runs at workers 1 and 8.
-editloop-smoke: build
-	$(GO) run ./cmd/fpbench -editloop -edit-iters 6
-
 # obs-check gates the observability surface: vet over the trace/log
 # packages, the Prometheus exposition golden + metric-metadata lint tests,
 # and the serve smoke (which scrapes /metrics and greps the access log).
@@ -100,5 +93,5 @@ obs-check:
 	$(GO) test ./internal/reqid/... ./internal/slogx/...
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-check: vet race obs-check race-serve race-arena bench-module editloop-smoke load-smoke cluster-smoke
+check: vet race obs-check race-serve race-arena bench-module load-smoke cluster-smoke
 	$(GO) test -race ./internal/telemetry/... ./internal/cache/...

@@ -247,6 +247,7 @@ func BenchmarkStockmeyerBaseline(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("plain", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := floorplan.OptimizeSlicing(tree, lib, 0); err != nil {
 				b.Fatal(err)
@@ -254,6 +255,7 @@ func BenchmarkStockmeyerBaseline(b *testing.B) {
 		}
 	})
 	b.Run("k1=16", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := floorplan.OptimizeSlicing(tree, lib, 16); err != nil {
 				b.Fatal(err)

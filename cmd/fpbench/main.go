@@ -16,8 +16,6 @@
 //	    # same, spread round-robin over a cluster's nodes
 //	fpbench -cluster-check -server http://n1:8081,http://n2:8082 \
 //	    -single http://ref:8080  # cluster-wide dedup + byte-identity check
-//	fpbench -editloop -edit-iters 8  # subtree-store edit-loop proof:
-//	    # spine-only recompute + bit-identity at workers 1 and 8
 package main
 
 import (
@@ -36,25 +34,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fpbench: ")
 	var (
-		table     = flag.Int("table", 0, "regenerate one paper table (1-4)")
-		all       = flag.Bool("all", false, "regenerate all four tables")
-		smoke     = flag.Bool("smoke", false, "run a small CI-scale grid instead of a paper table")
-		ablation  = flag.String("ablation", "", "run an ablation: 'uniform' or 'thetas'")
-		limit     = flag.Int64("limit", 0, "override the memory limit (default: calibrated 300000)")
-		quiet     = flag.Bool("quiet", false, "suppress per-run progress lines")
-		csvOut    = flag.String("csv", "", "also write machine-readable CSV to this file")
-		jsonDir   = flag.String("benchjson", "", "write BENCH_table<N>.json files into this directory")
-		workers   = flag.Int("workers", 0, "concurrent optimizer runs (0 = all CPUs, 1 = sequential)")
-		servURL   = flag.String("server", "", "drive a running fpserve at this base URL end-to-end and exit (-load and -cluster-check accept a comma-separated list)")
-		load      = flag.Bool("load", false, "with -server: run the open-loop load harness instead of the functional check")
-		loadSpec  = flag.String("load-spec", "", "with -load: JSON load spec file (default: built-in schedule)")
-		loadOut   = flag.String("load-out", "", "with -load: write the JSON load report here (default: stdout)")
-		clCheck   = flag.Bool("cluster-check", false, "with -server (comma-separated node URLs): assert cluster-wide dedup and byte-identity, then exit")
-		clStats   = flag.Bool("cluster-stats", false, "with -server: fetch GET /v1/cluster/stats from the first node and print the ring-wide aggregate, then exit")
-		single    = flag.String("single", "", "with -cluster-check: also compare results against this single-node reference fpserve")
-		editLoop  = flag.Bool("editloop", false, "run the subtree-store edit-loop proof (spine-only recompute + bit-identity) and exit")
-		editIters = flag.Int("edit-iters", 8, "with -editloop: number of one-module edits")
-		tf        cliutil.TelemetryFlags
+		table    = flag.Int("table", 0, "regenerate one paper table (1-4)")
+		all      = flag.Bool("all", false, "regenerate all four tables")
+		smoke    = flag.Bool("smoke", false, "run a small CI-scale grid instead of a paper table")
+		ablation = flag.String("ablation", "", "run an ablation: 'uniform' or 'thetas'")
+		limit    = flag.Int64("limit", 0, "override the memory limit (default: calibrated 300000)")
+		quiet    = flag.Bool("quiet", false, "suppress per-run progress lines")
+		csvOut   = flag.String("csv", "", "also write machine-readable CSV to this file")
+		jsonDir  = flag.String("benchjson", "", "write BENCH_table<N>.json files into this directory")
+		workers  = flag.Int("workers", 0, "concurrent optimizer runs (0 = all CPUs, 1 = sequential)")
+		servURL  = flag.String("server", "", "drive a running fpserve at this base URL end-to-end and exit (-load and -cluster-check accept a comma-separated list)")
+		load     = flag.Bool("load", false, "with -server: run the open-loop load harness instead of the functional check")
+		loadSpec = flag.String("load-spec", "", "with -load: JSON load spec file (default: built-in schedule)")
+		loadOut  = flag.String("load-out", "", "with -load: write the JSON load report here (default: stdout)")
+		clCheck  = flag.Bool("cluster-check", false, "with -server (comma-separated node URLs): assert cluster-wide dedup and byte-identity, then exit")
+		clStats  = flag.Bool("cluster-stats", false, "with -server: fetch GET /v1/cluster/stats from the first node and print the ring-wide aggregate, then exit")
+		single   = flag.String("single", "", "with -cluster-check: also compare results against this single-node reference fpserve")
+		tf       cliutil.TelemetryFlags
 	)
 	tf.Register(flag.CommandLine)
 	flag.Parse()
@@ -85,13 +81,6 @@ func main() {
 		}
 		return
 	}
-	if *editLoop {
-		if err := runEditLoop(*editIters); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	cfg := tables.DefaultConfig()
 	if *limit > 0 {
 		cfg.MemoryLimit = *limit

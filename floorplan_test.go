@@ -58,11 +58,11 @@ func TestOptimizeCanonicalizesLibrary(t *testing.T) {
 	}
 }
 
-// TestOptimizeBoundsWholeTree pins the whole-problem extent bound: four
-// modules of the largest legal extent in a 2×2 slicing would build a
-// 2^32−2 envelope whose area overflows int64, so the tree is rejected with
-// an error naming the bound. The bound sums over every occurrence, so
-// quarter-size modules fit and get the exact area.
+// TestOptimizeBoundsWholeTree pins the whole-problem extent bound on both
+// entry points: four modules of the largest legal extent in a 2×2 slicing
+// would build a 2^32−2 envelope whose area overflows int64, so the tree is
+// rejected with an error naming the bound. The bound sums over every
+// occurrence, so quarter-size modules fit and get the exact area.
 func TestOptimizeBoundsWholeTree(t *testing.T) {
 	tree := floorplan.HSlice(
 		floorplan.VSlice(floorplan.Leaf("a"), floorplan.Leaf("b")),
@@ -74,18 +74,30 @@ func TestOptimizeBoundsWholeTree(t *testing.T) {
 		}
 		return lib
 	}
-	const maxExtent = 1<<31 - 1
-	_, err := floorplan.Optimize(tree, square(maxExtent), floorplan.Options{})
-	if err == nil || !strings.Contains(err.Error(), "2147483647") {
-		t.Fatalf("overflowing tree: err = %v, want the bound named", err)
-	}
-	const quarter = 1<<29 - 1
-	res, err := floorplan.Optimize(tree, square(quarter), floorplan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (floorplan.Impl{W: 2 * quarter, H: 2 * quarter}); res.Best != want || res.Best.Area() != 4*quarter*quarter {
-		t.Fatalf("Best = %v (area %d), want %v", res.Best, res.Best.Area(), want)
+	for _, entry := range []struct {
+		name  string
+		solve func(*floorplan.Tree, floorplan.Library) (*floorplan.Result, error)
+	}{
+		{"Optimize", func(tree *floorplan.Tree, lib floorplan.Library) (*floorplan.Result, error) {
+			return floorplan.Optimize(tree, lib, floorplan.Options{})
+		}},
+		{"OptimizeSlicing", func(tree *floorplan.Tree, lib floorplan.Library) (*floorplan.Result, error) {
+			return floorplan.OptimizeSlicing(tree, lib, 0)
+		}},
+	} {
+		const maxExtent = 1<<31 - 1
+		_, err := entry.solve(tree, square(maxExtent))
+		if err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Fatalf("%s: overflowing tree: err = %v, want the bound named", entry.name, err)
+		}
+		const quarter = 1<<29 - 1
+		res, err := entry.solve(tree, square(quarter))
+		if err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		if want := (floorplan.Impl{W: 2 * quarter, H: 2 * quarter}); res.Best != want || res.Best.Area() != 4*quarter*quarter {
+			t.Fatalf("%s: Best = %v (area %d), want %v", entry.name, res.Best, res.Best.Area(), want)
+		}
 	}
 }
 

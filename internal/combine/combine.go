@@ -189,68 +189,6 @@ func mergeH(a, b shape.RList) shape.RList {
 	return out
 }
 
-// MergeCols is the structure-of-arrays form of VCut/HCut: it merges two
-// canonical RCols views into dst (reset first), streaming over the
-// contiguous width/height columns. The Stockmeyer evaluator folds whole
-// slice lists through persistent RCols accumulators with it, so the inner
-// breakpoint scan touches only the relevant int64 column.
-func MergeCols(dst, a, b *shape.RCols, vertical bool) {
-	dst.Reset()
-	if a.Len() == 0 || b.Len() == 0 {
-		return
-	}
-	if vertical {
-		ia, ib := 0, 0
-		h := max64(a.Hs[0], b.Hs[0])
-		for {
-			for ia+1 < len(a.Hs) && a.Hs[ia+1] <= h {
-				ia++
-			}
-			for ib+1 < len(b.Hs) && b.Hs[ib+1] <= h {
-				ib++
-			}
-			dst.Append(a.Ws[ia]+b.Ws[ib], h)
-			next := int64(-1)
-			if ia+1 < len(a.Hs) {
-				next = a.Hs[ia+1]
-			}
-			if ib+1 < len(b.Hs) && (next < 0 || b.Hs[ib+1] < next) {
-				next = b.Hs[ib+1]
-			}
-			if next < 0 {
-				return
-			}
-			h = next
-		}
-	}
-	ia, ib := a.Len()-1, b.Len()-1
-	w := max64(a.Ws[ia], b.Ws[ib])
-	for {
-		for ia > 0 && a.Ws[ia-1] <= w {
-			ia--
-		}
-		for ib > 0 && b.Ws[ib-1] <= w {
-			ib--
-		}
-		dst.Append(w, a.Hs[ia]+b.Hs[ib])
-		next := int64(-1)
-		if ia > 0 {
-			next = a.Ws[ia-1]
-		}
-		if ib > 0 && (next < 0 || b.Ws[ib-1] < next) {
-			next = b.Ws[ib-1]
-		}
-		if next < 0 {
-			break
-		}
-		w = next
-	}
-	for i, j := 0, dst.Len()-1; i < j; i, j = i+1, j-1 {
-		dst.Ws[i], dst.Ws[j] = dst.Ws[j], dst.Ws[i]
-		dst.Hs[i], dst.Hs[j] = dst.Hs[j], dst.Hs[i]
-	}
-}
-
 // Alloc carries optional arena allocators for the transient candidate
 // buffers of the L-block operations. The zero value allocates from the
 // heap. Results returned by the operations never alias arena storage, so

@@ -454,3 +454,26 @@ func TestSentinelIdenticalResultsOtherwise(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCombineMerge measures the canonical two-pointer merge on two
+// large staircases — the inner loop of every slicing cut.
+func BenchmarkCombineMerge(b *testing.B) {
+	a := staircase(4096, 3)
+	c := staircase(4096, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := VCut(a, c); len(got) == 0 {
+			b.Fatal("empty merge")
+		}
+	}
+}
+
+// staircase builds a canonical n-step R-list with the given step size.
+func staircase(n int, step int64) shape.RList {
+	impls := make([]shape.RImpl, n)
+	for i := range impls {
+		impls[i] = shape.RImpl{W: int64(n-i) * step, H: int64(i+1) * step}
+	}
+	return shape.MustRList(impls)
+}

@@ -1,7 +1,7 @@
 // Package geom provides the integer geometry primitives shared by the
-// floorplan optimizer: points, axis-aligned rectangles and half-open
-// intervals. All coordinates are int64 "layout units"; using integers keeps
-// every area and error computation exact and every run deterministic.
+// floorplan optimizer: points and axis-aligned rectangles. All coordinates
+// are int64 "layout units"; using integers keeps every area and error
+// computation exact and every run deterministic.
 package geom
 
 import "fmt"
@@ -10,9 +10,6 @@ import "fmt"
 type Point struct {
 	X, Y int64
 }
-
-// Add returns the translation of p by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
@@ -58,11 +55,6 @@ func (r Rect) Empty() bool { return r.Width() == 0 || r.Height() == 0 }
 // Valid reports whether r is well formed (non-negative extents).
 func (r Rect) Valid() bool { return r.MinX <= r.MaxX && r.MinY <= r.MaxY }
 
-// Translate returns r shifted by (dx, dy).
-func (r Rect) Translate(dx, dy int64) Rect {
-	return Rect{r.MinX + dx, r.MinY + dy, r.MaxX + dx, r.MaxY + dy}
-}
-
 // Contains reports whether inner lies entirely inside r (boundaries may
 // touch). Empty rectangles positioned inside r are contained.
 func (r Rect) Contains(inner Rect) bool {
@@ -77,90 +69,7 @@ func (r Rect) Overlaps(s Rect) bool {
 		r.MinY < s.MaxY && s.MinY < r.MaxY
 }
 
-// Union returns the bounding box of r and s. Empty rectangles still
-// contribute their position, matching the needs of placement traceback.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		MinX: min64(r.MinX, s.MinX),
-		MinY: min64(r.MinY, s.MinY),
-		MaxX: max64(r.MaxX, s.MaxX),
-		MaxY: max64(r.MaxY, s.MaxY),
-	}
-}
-
-// Intersect returns the overlap of r and s and whether it is non-empty.
-func (r Rect) Intersect(s Rect) (Rect, bool) {
-	out := Rect{
-		MinX: max64(r.MinX, s.MinX),
-		MinY: max64(r.MinY, s.MinY),
-		MaxX: min64(r.MaxX, s.MaxX),
-		MaxY: min64(r.MaxY, s.MaxY),
-	}
-	if out.MinX >= out.MaxX || out.MinY >= out.MaxY {
-		return Rect{}, false
-	}
-	return out, true
-}
-
-// MirrorX reflects r across the vertical line x = axis, preserving validity.
-func (r Rect) MirrorX(axis int64) Rect {
-	return Rect{
-		MinX: 2*axis - r.MaxX,
-		MinY: r.MinY,
-		MaxX: 2*axis - r.MinX,
-		MaxY: r.MaxY,
-	}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)", r.MinX, r.MaxX, r.MinY, r.MaxY)
-}
-
-// Interval is a half-open interval [Lo, Hi).
-type Interval struct {
-	Lo, Hi int64
-}
-
-// Len returns Hi-Lo.
-func (iv Interval) Len() int64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies in [Lo, Hi).
-func (iv Interval) Contains(x int64) bool { return iv.Lo <= x && x < iv.Hi }
-
-// Overlaps reports whether two half-open intervals share points.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo < other.Hi && other.Lo < iv.Hi
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min64 returns the smaller of a and b.
-func Min64(a, b int64) int64 { return min64(a, b) }
-
-// Max64 returns the larger of a and b.
-func Max64(a, b int64) int64 { return max64(a, b) }
-
-// Abs64 returns |a|. It panics on math.MinInt64, which cannot occur for
-// layout dimensions.
-func Abs64(a int64) int64 {
-	if a < 0 {
-		a = -a
-		if a < 0 {
-			panic("geom: Abs64 overflow")
-		}
-	}
-	return a
 }

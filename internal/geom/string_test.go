@@ -8,12 +8,3 @@ func TestRectString(t *testing.T) {
 		t.Errorf("Rect.String = %q", got)
 	}
 }
-
-func TestAbs64OverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on MinInt64")
-		}
-	}()
-	Abs64(-9223372036854775808)
-}

@@ -126,9 +126,6 @@ func (t *Tracker) Admitted() int64 { return t.peak.Load() }
 // Limit returns the configured limit (0 = unlimited).
 func (t *Tracker) Limit() int64 { return t.limit }
 
-// Exceeded reports whether any admission attempt has passed the limit.
-func (t *Tracker) Exceeded() bool { return t.limit > 0 && t.Peak() > t.limit }
-
 // CASRetries returns the number of failed compare-and-swap attempts across
 // Add and Release — a measure of reservation contention under the parallel
 // evaluator. Inherently nondeterministic; telemetry files it under the

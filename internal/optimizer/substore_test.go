@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -134,26 +135,49 @@ func spineNodes(t *testing.T, tree *plan.Node, module string) (spine, total int)
 }
 
 // TestSubstoreEditRecomputesSpineOnly is the incremental re-optimization
-// proof: after a cold solve, editing one leaf's implementation list and
-// re-solving evaluates exactly the root-to-leaf spine through that leaf —
-// every off-spine digest is unchanged and resolves from the store — and the
-// result is byte-identical to a store-disabled run of the edited workload
-// at workers 1 and 8.
+// proof. A cold solve computes every node. Then each of several successive
+// one-module edits, re-solved against stores primed by the cold solve and
+// the earlier edits, evaluates exactly the root-to-leaf spine through the
+// edited leaf: every off-spine digest is unchanged and resolves from the
+// store. Every result is byte-identical to a store-disabled run of the same
+// edited workload, at workers 1 and 8. The loop runs on a 16-module random
+// tree and on FP2 (12 wheels, 36 L-shaped nodes).
 func TestSubstoreEditRecomputesSpineOnly(t *testing.T) {
-	rng := rand.New(rand.NewSource(932))
-	tree, err := gen.RandomTree(rng, 16, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawLib, err := gen.Library(rng, tree, gen.DefaultModuleParams(5))
+	t.Run("random16", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(932))
+		tree, err := gen.RandomTree(rng, 16, 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		editLoop(t, rng, tree, gen.DefaultModuleParams(5), selection.Policy{K1: 4, K2: 40, S: 30}, 6)
+	})
+	t.Run("FP2", func(t *testing.T) {
+		tree, err := gen.ByName("FP2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Small module lists keep the loop fast; the limits are low enough
+		// that R_ and L_Selection both run.
+		params := gen.ModuleParams{N: 4, MinArea: 2000000, MaxArea: 20000000, MaxAspect: 5}
+		editLoop(t, rand.New(rand.NewSource(17)), tree, params, selection.Policy{K1: 8, K2: 16, S: 12}, 6)
+	})
+}
+
+// editLoop generates a library for tree, solves it cold, then edits the
+// first edits modules one after another, regenerating each list until it
+// differs, and checks every re-solve as TestSubstoreEditRecomputesSpineOnly
+// describes.
+func editLoop(t *testing.T, rng *rand.Rand, tree *plan.Node, params gen.ModuleParams, policy selection.Policy, edits int) {
+	t.Helper()
+	rawLib, err := gen.Library(rng, tree, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lib := Library(rawLib)
-	policy := selection.Policy{K1: 4, K2: 40, S: 30}
 
-	// Prime two stores identically (one per worker count under test) with
-	// a cold solve of the original workload.
+	// Prime two stores identically, one per worker count under test: a
+	// shared store would already hold an edit's records after its first
+	// re-solve.
 	storeA, storeB := newTestStore(t), newTestStore(t)
 	cold := mustRun(t, lib, Options{Policy: policy, Workers: 1, Substore: storeA}, tree)
 	mustRun(t, lib, Options{Policy: policy, Workers: 8, Substore: storeB}, tree)
@@ -161,42 +185,38 @@ func TestSubstoreEditRecomputesSpineOnly(t *testing.T) {
 		t.Fatalf("cold solve computed %d of %d nodes", cold.Reuse.ComputedNodes, len(cold.NodeStats))
 	}
 
-	// Edit one module: regenerate its implementation list until it differs.
-	edited := tree.Modules()[0]
-	lib2 := make(Library, len(lib))
-	for name, l := range lib {
-		lib2[name] = l
+	modules := tree.Modules()
+	if len(modules) < edits {
+		t.Fatalf("%d modules, want at least %d distinct edits", len(modules), edits)
 	}
-	for {
-		nl, err := gen.Module(rng, gen.DefaultModuleParams(5))
-		if err != nil {
-			t.Fatal(err)
+	for i, edited := range modules[:edits] {
+		for {
+			nl, err := gen.Module(rng, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !shape.RList(nl).Equal(lib[edited]) {
+				lib[edited] = nl
+				break
+			}
 		}
-		if !shape.RList(nl).Equal(lib[edited]) {
-			lib2[edited] = nl
-			break
+		spine, total := spineNodes(t, tree, edited)
+		if spine < 2 || spine >= total {
+			t.Fatalf("edit %d (%s): degenerate spine %d of %d nodes", i+1, edited, spine, total)
 		}
-	}
 
-	spine, total := spineNodes(t, tree, edited)
-	if spine < 2 || spine >= total {
-		t.Fatalf("degenerate spine %d of %d nodes", spine, total)
-	}
-
-	ref := mustRun(t, lib2, Options{Policy: policy, Workers: 1}, tree)
-	for _, tc := range []struct {
-		workers int
-		store   *substore.Store
-	}{{1, storeA}, {8, storeB}} {
-		got := mustRun(t, lib2, Options{Policy: policy, Workers: tc.workers, Substore: tc.store}, tree)
-		assertSameResult(t, "edited", got, ref)
-		if got.Reuse.ComputedNodes != spine {
-			t.Fatalf("workers %d: edit recomputed %d nodes, want the %d-node spine",
-				tc.workers, got.Reuse.ComputedNodes, spine)
-		}
-		if got.Reuse.SplicedNodes != total-spine {
-			t.Fatalf("workers %d: edit spliced %d nodes, want %d",
-				tc.workers, got.Reuse.SplicedNodes, total-spine)
+		ref := mustRun(t, lib, Options{Policy: policy, Workers: 1}, tree)
+		for _, tc := range []struct {
+			workers int
+			store   *substore.Store
+		}{{1, storeA}, {8, storeB}} {
+			got := mustRun(t, lib, Options{Policy: policy, Workers: tc.workers, Substore: tc.store}, tree)
+			label := fmt.Sprintf("edit %d (%s), workers %d", i+1, edited, tc.workers)
+			assertSameResult(t, label, got, ref)
+			if got.Reuse.ComputedNodes != spine || got.Reuse.SplicedNodes != total-spine {
+				t.Fatalf("%s: reuse %+v, want the %d-node spine computed and %d nodes spliced",
+					label, got.Reuse, spine, total-spine)
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // Kind enumerates floorplan tree node kinds.
@@ -96,49 +97,62 @@ func NewCCWWheel(nw, ne, se, sw, center *Node) *Node {
 // no children, slices have at least two children, wheels exactly five, and
 // the tree is free of nil nodes and cycles.
 func (n *Node) Validate() error {
-	seen := make(map[*Node]bool)
-	return n.validate(seen, "root")
+	// The recursion shares one path buffer, sized so that trees up to 32
+	// levels deep never regrow it.
+	return n.validate(make(map[*Node]bool), make([]int, 0, 32))
 }
 
-func (n *Node) validate(seen map[*Node]bool, path string) error {
+// validate checks the subtree at n, which the root reaches through the
+// child indices in path. Only an error formats the path.
+func (n *Node) validate(seen map[*Node]bool, path []int) error {
 	if n == nil {
-		return fmt.Errorf("plan: nil node at %s", path)
+		return fmt.Errorf("plan: nil node at %s", nodePath(path))
 	}
 	if seen[n] {
-		return fmt.Errorf("plan: node %s appears more than once (tree is a DAG or cyclic)", path)
+		return fmt.Errorf("plan: node %s appears more than once (tree is a DAG or cyclic)", nodePath(path))
 	}
 	seen[n] = true
 	switch n.Kind {
 	case Leaf:
 		if n.Module == "" {
-			return fmt.Errorf("plan: leaf at %s has no module", path)
+			return fmt.Errorf("plan: leaf at %s has no module", nodePath(path))
 		}
 		if len(n.Children) != 0 {
-			return fmt.Errorf("plan: leaf at %s has %d children", path, len(n.Children))
+			return fmt.Errorf("plan: leaf at %s has %d children", nodePath(path), len(n.Children))
 		}
 	case HSlice, VSlice:
 		if len(n.Children) < 2 {
-			return fmt.Errorf("plan: %s at %s needs >= 2 children, has %d", n.Kind, path, len(n.Children))
+			return fmt.Errorf("plan: %s at %s needs >= 2 children, has %d", n.Kind, nodePath(path), len(n.Children))
 		}
 		if n.Module != "" {
-			return fmt.Errorf("plan: internal node at %s names module %q", path, n.Module)
+			return fmt.Errorf("plan: internal node at %s names module %q", nodePath(path), n.Module)
 		}
 	case Wheel:
 		if len(n.Children) != 5 {
-			return fmt.Errorf("plan: wheel at %s needs exactly 5 children, has %d", path, len(n.Children))
+			return fmt.Errorf("plan: wheel at %s needs exactly 5 children, has %d", nodePath(path), len(n.Children))
 		}
 		if n.Module != "" {
-			return fmt.Errorf("plan: internal node at %s names module %q", path, n.Module)
+			return fmt.Errorf("plan: internal node at %s names module %q", nodePath(path), n.Module)
 		}
 	default:
-		return fmt.Errorf("plan: unknown kind %d at %s", int(n.Kind), path)
+		return fmt.Errorf("plan: unknown kind %d at %s", int(n.Kind), nodePath(path))
 	}
 	for i, c := range n.Children {
-		if err := c.validate(seen, fmt.Sprintf("%s.%d", path, i)); err != nil {
+		if err := c.validate(seen, append(path, i)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// nodePath names a node by its child indices from the root, as in
+// "root.0.2".
+func nodePath(path []int) string {
+	b := []byte("root")
+	for _, i := range path {
+		b = strconv.AppendInt(append(b, '.'), int64(i), 10)
+	}
+	return string(b)
 }
 
 // ModuleCount returns the number of leaves.
@@ -160,6 +174,17 @@ func (n *Node) ModuleCount() int {
 func (n *Node) Leaves() []*Node {
 	var out []*Node
 	n.walkLeaves(&out)
+	return out
+}
+
+// LeafModules returns the module of every leaf in depth-first order, so a
+// module used twice appears twice: the occurrences CheckModules sums over.
+func (n *Node) LeafModules() []string {
+	leaves := n.Leaves()
+	out := make([]string, len(leaves))
+	for i, leaf := range leaves {
+		out[i] = leaf.Module
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,11 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 			t.Errorf("%s: validation passed", tc.name)
 		}
 	}
+	// The error names the bad node by its child indices from the root.
+	deep := NewHSlice(NewLeaf("a"), NewVSlice(NewLeaf("b"), &Node{Kind: Leaf}))
+	if err := deep.Validate(); err == nil || !strings.Contains(err.Error(), "leaf at root.1.1 has no module") {
+		t.Errorf("deep leaf without module: err = %v", err)
+	}
 }
 
 func TestTreeMetrics(t *testing.T) {
@@ -70,6 +76,10 @@ func TestTreeMetrics(t *testing.T) {
 	}
 	if got := NewLeaf("m").Depth(); got != 1 {
 		t.Errorf("leaf Depth = %d, want 1", got)
+	}
+	reused := NewVSlice(NewLeaf("a"), NewHSlice(NewLeaf("b"), NewLeaf("a")))
+	if got := reused.LeafModules(); !slices.Equal(got, []string{"a", "b", "a"}) {
+		t.Errorf("LeafModules = %v, want every occurrence in order", got)
 	}
 }
 

@@ -28,8 +28,63 @@ func (t *LErrorTable) At(i, j int) int64 {
 // N returns the list length the table was built for.
 func (t *LErrorTable) N() int { return t.n }
 
+// ComputeLError runs the paper's O(n^3) Compute_L_Error verbatim, the
+// reference lErrorL1 is pinned to:
+//
+//	error(l_i, l_j) = sum over i < q < j of min(dist(l_i, l_q), dist(l_q, l_j))
+func ComputeLError(l shape.LList) *LErrorTable {
+	n := len(l)
+	t := &LErrorTable{n: n, tab: make([]int64, n*n)}
+	for i := 0; i < n-1; i++ {
+		for j := i + 1; j < n; j++ {
+			var e int64
+			for q := i + 1; q < j; q++ {
+				e += min(l[i].Dist(l[q]), l[q].Dist(l[j]))
+			}
+			t.tab[i*n+j] = e
+		}
+	}
+	return t
+}
+
+// LSubsetError computes ERROR(L, L') directly from the definition — each
+// discarded implementation pays its distance to the nearest retained one,
+// searched over the *whole* retained set rather than just the neighbours.
+// It is the independent oracle used to validate Lemma 3 and the selection
+// results in tests. indices must be strictly increasing and include both
+// endpoints.
+func LSubsetError(l shape.LList, indices []int) (int64, error) {
+	n := len(l)
+	if len(indices) < 2 || indices[0] != 0 || indices[len(indices)-1] != n-1 {
+		return 0, fmt.Errorf("selection: subset must include both endpoints")
+	}
+	retained := make(map[int]bool, len(indices))
+	prev := -1
+	for _, idx := range indices {
+		if idx <= prev || idx >= n {
+			return 0, fmt.Errorf("selection: bad subset index %d", idx)
+		}
+		retained[idx] = true
+		prev = idx
+	}
+	var total int64
+	for q := 0; q < n; q++ {
+		if retained[q] {
+			continue
+		}
+		best := int64(-1)
+		for _, idx := range indices {
+			if d := l[q].Dist(l[idx]); best < 0 || d < best {
+				best = d
+			}
+		}
+		total += best
+	}
+	return total, nil
+}
+
 // lErrorL1 answers the Manhattan error(l_i, l_j) in O(log n) from one
-// prefix-sum array, so Manhattan L_Selection never builds the O(n^3) table.
+// prefix-sum array, so L_Selection never builds the O(n^3) table.
 // On a canonical list (lListTelescopes) the L1 distance between positions
 // i < q telescopes to s(q) - s(i), with s = H1 + H2 - W1 nondecreasing. A
 // discarded q between retained i < j pays min(s(q)-s(i), s(j)-s(q)): the

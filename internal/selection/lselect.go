@@ -24,35 +24,22 @@ type LResult struct {
 // over list positions whose edge (i, j) costs error(l_i, l_j). Both
 // endpoints are always retained.
 //
-// Complexity: O(k n log^2 n) time and O(n) scratch beside the DP's O(kn)
-// predecessor table, below Theorem 3's O(n^3): the error is Monge (see
-// LSelectMetric), so cspp.SolveDenseMonge reads O(k n log n) errors, each
-// an O(log n) binary search on prefix sums (lErrorL1). Callers bound n with
-// HeuristicLReduce first (the paper's Section 5 "S" technique) when lists
-// are long.
-func LSelect(l shape.LList, k int) (LResult, error) {
-	return LSelectMetric(l, k, Manhattan)
-}
-
-// LSelectMetric is L_Selection under an arbitrary distance metric; the
-// paper's footnote 2 observes that every lemma holds for any L_p metric.
+// The error is Monge. On a canonical list every coordinate is monotone, so
+// the L1 distance d satisfies d(u,q) >= d(u',q) for u < u' < q and
+// d(q,v) <= d(q,v') for q < v < v'. For u < u' < v < v', compare
+// E(u,v) + E(u',v') with E(u',v) + E(u,v') one discarded q at a time: a q
+// in (u, u'] or [v, v') appears once per side and the left side pays the
+// smaller distance; a q in (u', v) appears in all four terms, and with
+// a >= a', b' >= b, min(a,b) + min(a',b') <= min(a',b) + min(a,b') (min is
+// supermodular). So LSelect runs on cspp.SolveDenseMonge, and a list that
+// is not canonical is rejected.
 //
-// Every supported metric makes the L-error Monge. On a canonical list each
-// coordinate is monotone and each metric grows with any one coordinate
-// difference, so d(u,q) >= d(u',q) for u < u' < q and d(q,v) <= d(q,v') for
-// q < v < v'. For u < u' < v < v', compare E(u,v) + E(u',v') with
-// E(u',v) + E(u,v') one discarded q at a time: a q in (u, u'] or [v, v')
-// appears once per side and the left side pays the smaller distance; a q in
-// (u', v) appears in all four terms, and with a >= a', b' >= b,
-// min(a,b) + min(a',b') <= min(a',b) + min(a,b') (min is supermodular). So
-// every metric runs on cspp.SolveDenseMonge, and a list that is not
-// canonical is rejected. Manhattan reads each error in O(log n); the other
-// metrics build the O(n^3) Compute_L_Error table first, then run the
-// O(k n log n) DP on it.
-func LSelectMetric(l shape.LList, k int, m Metric) (LResult, error) {
-	if !m.Valid() {
-		return LResult{}, fmt.Errorf("selection: unknown metric %v", m)
-	}
+// Complexity: O(k n log^2 n) time and O(n) scratch beside the DP's O(kn)
+// predecessor table, below Theorem 3's O(n^3): the DP reads O(k n log n)
+// errors, each an O(log n) binary search on prefix sums (lErrorL1). Callers
+// bound n with HeuristicLReduce first (the paper's Section 5 "S" technique)
+// when lists are long.
+func LSelect(l shape.LList, k int) (LResult, error) {
 	n := len(l)
 	if n == 0 {
 		return LResult{}, fmt.Errorf("selection: LSelect on empty list")
@@ -66,13 +53,7 @@ func LSelectMetric(l shape.LList, k int, m Metric) (LResult, error) {
 	if !lListTelescopes(l) {
 		return LResult{}, fmt.Errorf("selection: LSelect needs a canonical L-list (constant W2, W1 nonincreasing, H1 and H2 nondecreasing)")
 	}
-	var cost cspp.CostFunc
-	if m == Manhattan {
-		cost = newLErrorL1(l).at
-	} else {
-		cost = ComputeLErrorMetric(l, m).At
-	}
-	indices, weight, err := cspp.SolveDenseMonge(n, k, cost)
+	indices, weight, err := cspp.SolveDenseMonge(n, k, newLErrorL1(l).at)
 	if err != nil {
 		return LResult{}, fmt.Errorf("selection: LSelect CSPP: %w", err)
 	}
@@ -130,7 +111,7 @@ func LSelectBrute(l shape.LList, k int) (LResult, error) {
 	var rec func(pos, from int)
 	rec = func(pos, from int) {
 		if pos == k-1 {
-			e, err := LSubsetErrorMetric(l, indices, Manhattan)
+			e, err := LSubsetError(l, indices)
 			if err != nil {
 				panic(err)
 			}

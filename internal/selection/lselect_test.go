@@ -56,7 +56,7 @@ func TestLemma3NeighbourFormula(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		n := 3 + rng.Intn(12)
 		l := randomLList(rng, n)
-		table := ComputeLErrorMetric(l, Manhattan)
+		table := ComputeLError(l)
 		// Random subset with endpoints.
 		indices := []int{0}
 		for i := 1; i < n-1; i++ {
@@ -69,7 +69,7 @@ func TestLemma3NeighbourFormula(t *testing.T) {
 		for q := 0; q+1 < len(indices); q++ {
 			viaTable += table.At(indices[q], indices[q+1])
 		}
-		direct, err := LSubsetErrorMetric(l, indices, Manhattan)
+		direct, err := LSubsetError(l, indices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestLemma3NeighbourFormula(t *testing.T) {
 
 func TestComputeLErrorBasics(t *testing.T) {
 	l := randomLList(rand.New(rand.NewSource(4)), 6)
-	table := ComputeLErrorMetric(l, Manhattan)
+	table := ComputeLError(l)
 	if table.N() != 6 {
 		t.Fatalf("N = %d", table.N())
 	}
@@ -121,7 +121,7 @@ func TestLSelectMatchesBrute(t *testing.T) {
 			t.Logf("n=%d k=%d: fast %d, brute %d", n, k, fast.Error, slow.Error)
 			return false
 		}
-		direct, err := LSubsetErrorMetric(l, fast.Indices, Manhattan)
+		direct, err := LSubsetError(l, fast.Indices)
 		if err != nil || direct != fast.Error {
 			t.Logf("reported %d != direct %d (%v)", fast.Error, direct, err)
 			return false
@@ -202,7 +202,7 @@ func TestFusedLColumnMatchesTable(t *testing.T) {
 		if !lListTelescopes(l) {
 			t.Fatalf("generator produced a non-canonical list: %v", l)
 		}
-		table := ComputeLErrorMetric(l, Manhattan)
+		table := ComputeLError(l)
 		e := newLErrorL1(l)
 		for j := 1; j < n; j++ {
 			for i := 0; i < j; i++ {
@@ -215,11 +215,10 @@ func TestFusedLColumnMatchesTable(t *testing.T) {
 	}
 }
 
-// TestLSelectFusedMatchesTablePath pins L_Selection under every metric to
-// the paper's reduction run verbatim: that metric's Compute_L_Error table
-// materialized as the complete interval DAG and solved by cspp.Solve.
-// Indices and error must be identical for every k in [2, n), on random and
-// tie-heavy canonical lists.
+// TestLSelectFusedMatchesTablePath pins L_Selection to the paper's
+// reduction run verbatim: the Compute_L_Error table materialized as the
+// complete interval DAG and solved by cspp.Solve. Indices and error must be
+// identical for every k in [2, n), on random and tie-heavy canonical lists.
 func TestLSelectFusedMatchesTablePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 60; trial++ {
@@ -233,71 +232,62 @@ func TestLSelectFusedMatchesTablePath(t *testing.T) {
 		} else {
 			l = tieHeavyLList(rng, n)
 		}
-		for _, m := range []Metric{Manhattan, Chebyshev, EuclideanSq} {
-			table := ComputeLErrorMetric(l, m)
-			g := cspp.MustGraph(n)
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					if err := g.AddEdge(u, v, table.At(u, v)); err != nil {
-						t.Fatal(err)
-					}
+		table := ComputeLError(l)
+		g := cspp.MustGraph(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if err := g.AddEdge(u, v, table.At(u, v)); err != nil {
+					t.Fatal(err)
 				}
 			}
-			for k := 2; k < n; k++ {
-				want, err := cspp.Solve(g, 0, n-1, k)
-				if err != nil {
-					t.Fatalf("%v n=%d k=%d: Solve: %v", m, n, k, err)
-				}
-				got, err := LSelectMetric(l, k, m)
-				if err != nil {
-					t.Fatalf("%v n=%d k=%d: LSelectMetric: %v", m, n, k, err)
-				}
-				if got.Error != want.Weight || !slices.Equal(got.Indices, want.Path) {
-					t.Fatalf("%v n=%d k=%d: LSelectMetric %v (error %d), Solve %v (weight %d)",
-						m, n, k, got.Indices, got.Error, want.Path, want.Weight)
-				}
+		}
+		for k := 2; k < n; k++ {
+			want, err := cspp.Solve(g, 0, n-1, k)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: Solve: %v", n, k, err)
+			}
+			got, err := LSelect(l, k)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: LSelect: %v", n, k, err)
+			}
+			if got.Error != want.Weight || !slices.Equal(got.Indices, want.Path) {
+				t.Fatalf("n=%d k=%d: LSelect %v (error %d), Solve %v (weight %d)",
+					n, k, got.Indices, got.Error, want.Path, want.Weight)
 			}
 		}
 	}
 }
 
-// TestLErrorMonge checks the proved property LSelectMetric's solver rests
-// on (DESIGN.md §11): the Compute_L_Error table satisfies the quadrangle
-// inequality under all three metrics on random and tie-heavy canonical
-// L-lists.
+// TestLErrorMonge checks the proved property LSelect's solver rests on
+// (DESIGN.md §11): the Compute_L_Error table satisfies the quadrangle
+// inequality on random and tie-heavy canonical L-lists.
 func TestLErrorMonge(t *testing.T) {
-	for _, m := range []Metric{Manhattan, Chebyshev, EuclideanSq} {
-		rng := rand.New(rand.NewSource(74))
-		for trial := 0; trial < 200; trial++ {
-			n := 4 + rng.Intn(16)
-			var l shape.LList
-			if trial%2 == 0 {
-				l = randomLList(rng, n)
-			} else {
-				l = tieHeavyLList(rng, n)
-			}
-			if q, ok := mongeViolation(n, ComputeLErrorMetric(l, m).At); !ok {
-				t.Fatalf("%v: list not Monge at %v: %v", m, q, l)
-			}
+	rng := rand.New(rand.NewSource(74))
+	for trial := 0; trial < 200; trial++ {
+		n := 4 + rng.Intn(16)
+		var l shape.LList
+		if trial%2 == 0 {
+			l = randomLList(rng, n)
+		} else {
+			l = tieHeavyLList(rng, n)
+		}
+		if q, ok := mongeViolation(n, ComputeLError(l).At); !ok {
+			t.Fatalf("list not Monge at %v: %v", q, l)
 		}
 	}
 }
 
 // TestLListTelescopesGuard checks the canonical-list guard the Monge proof
-// needs: a canonical list selects under every metric, and each
-// monotonicity violation makes LSelectMetric return an error under every
-// metric.
+// needs: a canonical list selects, and each monotonicity violation makes
+// LSelect return an error.
 func TestLListTelescopesGuard(t *testing.T) {
 	base := shape.LList{
 		{W1: 9, W2: 3, H1: 2, H2: 2},
 		{W1: 7, W2: 3, H1: 4, H2: 3},
 		{W1: 5, W2: 3, H1: 6, H2: 5},
 	}
-	metrics := []Metric{Manhattan, Chebyshev, EuclideanSq}
-	for _, m := range metrics {
-		if _, err := LSelectMetric(base, 2, m); err != nil {
-			t.Fatalf("%v: canonical list rejected: %v", m, err)
-		}
+	if _, err := LSelect(base, 2); err != nil {
+		t.Fatalf("canonical list rejected: %v", err)
 	}
 	mutations := []func(l shape.LList){
 		func(l shape.LList) { l[1].W2 = 4 },  // W2 not constant
@@ -308,10 +298,8 @@ func TestLListTelescopesGuard(t *testing.T) {
 	for i, mutate := range mutations {
 		l := slices.Clone(base)
 		mutate(l)
-		for _, m := range metrics {
-			if _, err := LSelectMetric(l, 2, m); err == nil {
-				t.Errorf("%v: mutation %d accepted: %v", m, i, l)
-			}
+		if _, err := LSelect(l, 2); err == nil {
+			t.Errorf("mutation %d accepted: %v", i, l)
 		}
 	}
 }

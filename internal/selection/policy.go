@@ -27,10 +27,6 @@ type Policy struct {
 	// subsampling. It exists only for the repository's ablation benchmarks
 	// quantifying the value of the paper's CSPP-optimal selection.
 	RUniform bool
-	// LMetric selects the distance used by L_Selection (footnote 2 of the
-	// paper: any L_p metric works). The zero value is the paper's
-	// Manhattan (L1) metric.
-	LMetric Metric
 }
 
 // Validate rejects nonsensical settings.
@@ -43,9 +39,6 @@ func (p Policy) Validate() error {
 	}
 	if p.Theta < 0 || p.Theta > 1 {
 		return fmt.Errorf("selection: theta must be in [0, 1], got %v", p.Theta)
-	}
-	if !p.LMetric.Valid() {
-		return fmt.Errorf("selection: unknown L metric %v", p.LMetric)
 	}
 	return nil
 }
@@ -115,7 +108,7 @@ func (p Policy) ReduceLSet(set shape.LSet) (shape.LSet, int64, error) {
 			reduced = HeuristicLReduce(reduced, p.S)
 		}
 		if len(reduced) > budget {
-			res, err := LSelectMetric(reduced, budget, p.LMetric)
+			res, err := LSelect(reduced, budget)
 			if err != nil {
 				return shape.LSet{}, 0, err
 			}

@@ -443,12 +443,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	leaves := req.Tree.Leaves()
-	modules := make([]string, len(leaves))
-	for i, leaf := range leaves {
-		modules[i] = leaf.Module
-	}
-	if err := plan.CheckModules(modules, lib); err != nil {
+	if err := plan.CheckModules(req.Tree.LeafModules(), lib); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -212,19 +212,3 @@ func (s LSet) Validate() error {
 	}
 	return nil
 }
-
-// BestRect returns the minimum-area bounding box over all implementations,
-// for diagnostics. It returns false when the set is empty.
-func (s LSet) BestRect() (RImpl, bool) {
-	best := RImpl{}
-	found := false
-	for _, l := range s.Lists {
-		for _, li := range l {
-			r := li.Rect()
-			if !found || r.Area() < best.Area() {
-				best, found = r, true
-			}
-		}
-	}
-	return best, found
-}

@@ -95,21 +95,13 @@ func TestNewLSetChainPartition(t *testing.T) {
 	}
 }
 
-func TestLSetAllAndBestRect(t *testing.T) {
+func TestLSetAll(t *testing.T) {
 	set := MustLSet([]LImpl{
 		{W1: 10, W2: 4, H1: 3, H2: 1},
-		{W1: 5, W2: 5, H1: 4, H2: 4}, // a 5x4 rectangle, area 20
+		{W1: 5, W2: 5, H1: 4, H2: 4},
 	})
 	if got := len(set.All()); got != set.Size() {
 		t.Fatalf("All returned %d, Size %d", got, set.Size())
-	}
-	best, ok := set.BestRect()
-	if !ok || best.Area() != 20 {
-		t.Fatalf("BestRect = %v, %v", best, ok)
-	}
-	var empty LSet
-	if _, ok := empty.BestRect(); ok {
-		t.Error("BestRect on empty set should report false")
 	}
 }
 

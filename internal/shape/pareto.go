@@ -109,12 +109,6 @@ func minima3(pts []point3, keep []bool, s *pruneScratch) {
 	}
 }
 
-// MinimaR returns the Pareto-minimal subset of 2-d rectangular candidates.
-// It is a thin wrapper over R-list construction, provided for symmetry.
-func MinimaR(candidates []RImpl) []RImpl {
-	return []RImpl(newRListUnchecked(candidates))
-}
-
 // MinimaL returns the Pareto-minimal subset of 4-d L-shaped candidates,
 // deduplicated, in lexicographic order. Candidates are not modified.
 func MinimaL(candidates []LImpl) []LImpl {

@@ -93,12 +93,13 @@ func TestMinima4MatchesBrute(t *testing.T) {
 	}
 }
 
-// TestMinimaRInPlaceMatches pins the owning R variant to the copying one.
+// TestMinimaRInPlaceMatches pins the in-place R pruning to the copying
+// R-list constructor.
 func TestMinimaRInPlaceMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 50; trial++ {
 		in := randomRImpls(rng, 1+rng.Intn(200))
-		want := MinimaR(in)
+		want := newRListUnchecked(in)
 		buf := make([]RImpl, len(in))
 		copy(buf, in)
 		got := MinimaRInPlace(buf)

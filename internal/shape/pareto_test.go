@@ -148,23 +148,6 @@ func TestMinima3Direct(t *testing.T) {
 	}
 }
 
-func TestMinimaRMatchesRList(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		in := randomRImpls(rng, 1+rng.Intn(80))
-		got := MinimaR(in)
-		want := newRListUnchecked(in)
-		if len(got) != len(want) {
-			t.Fatalf("MinimaR size %d, RList size %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("MinimaR[%d] = %v, want %v", i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestMinimaLPermutationInvariant checks the result does not depend on input
 // order.
 func TestMinimaLPermutationInvariant(t *testing.T) {

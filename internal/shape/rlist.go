@@ -3,7 +3,6 @@ package shape
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // RList is an irreducible R-list (Definitions 4–5): implementations sorted
@@ -127,31 +126,6 @@ func (l RList) Best() (RImpl, int) {
 		}
 	}
 	return best, at
-}
-
-// MinHeightFor returns the smallest height h such that (w, h) is feasible —
-// on or above the staircase — and whether any implementation fits in width
-// w at all. l must be canonical.
-func (l RList) MinHeightFor(w int64) (int64, bool) {
-	// Widths are strictly decreasing; find the first (widest) entry with
-	// W <= w. Its height is minimal among all entries fitting width w.
-	i := sort.Search(len(l), func(i int) bool { return l[i].W <= w })
-	if i == len(l) {
-		return 0, false
-	}
-	return l[i].H, true
-}
-
-// MinWidthFor is the transpose of MinHeightFor: the smallest feasible width
-// under a height budget h.
-func (l RList) MinWidthFor(h int64) (int64, bool) {
-	// Heights are strictly increasing; the last entry with H <= h has the
-	// smallest width among entries fitting height h.
-	i := sort.Search(len(l), func(i int) bool { return l[i].H > h })
-	if i == 0 {
-		return 0, false
-	}
-	return l[i-1].W, true
 }
 
 // Clone returns a copy of l that shares no storage with it.

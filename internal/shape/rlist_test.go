@@ -53,51 +53,6 @@ func TestRListBest(t *testing.T) {
 	}
 }
 
-func TestRListMinHeightFor(t *testing.T) {
-	l := MustRList([]RImpl{{10, 2}, {6, 3}, {4, 5}})
-	tests := []struct {
-		w      int64
-		wantH  int64
-		wantOK bool
-	}{
-		{12, 2, true}, // room for the widest
-		{10, 2, true},
-		{9, 3, true}, // widest no longer fits
-		{6, 3, true},
-		{5, 5, true},
-		{4, 5, true},
-		{3, 0, false}, // nothing fits
-	}
-	for _, tc := range tests {
-		h, ok := l.MinHeightFor(tc.w)
-		if h != tc.wantH || ok != tc.wantOK {
-			t.Errorf("MinHeightFor(%d) = (%d,%v), want (%d,%v)", tc.w, h, ok, tc.wantH, tc.wantOK)
-		}
-	}
-}
-
-func TestRListMinWidthFor(t *testing.T) {
-	l := MustRList([]RImpl{{10, 2}, {6, 3}, {4, 5}})
-	tests := []struct {
-		h      int64
-		wantW  int64
-		wantOK bool
-	}{
-		{2, 10, true},
-		{3, 6, true},
-		{4, 6, true},
-		{5, 4, true},
-		{100, 4, true},
-		{1, 0, false},
-	}
-	for _, tc := range tests {
-		w, ok := l.MinWidthFor(tc.h)
-		if w != tc.wantW || ok != tc.wantOK {
-			t.Errorf("MinWidthFor(%d) = (%d,%v), want (%d,%v)", tc.h, w, ok, tc.wantW, tc.wantOK)
-		}
-	}
-}
-
 func TestRListSubset(t *testing.T) {
 	l := MustRList([]RImpl{{10, 2}, {6, 3}, {4, 5}, {2, 12}})
 	sub, err := l.Subset([]int{0, 2, 3})

@@ -59,9 +59,6 @@ func (l LImpl) Valid() bool {
 // IsRect reports whether l degenerates to a rectangle (empty notch).
 func (l LImpl) IsRect() bool { return l.W1 == l.W2 || l.H1 == l.H2 }
 
-// Rect returns the bounding box of l as a rectangular implementation.
-func (l LImpl) Rect() RImpl { return RImpl{W: l.W1, H: l.H1} }
-
 // Area returns the occupied area of the L: the full-width bottom slab plus
 // the top-left slab above the notch line.
 func (l LImpl) Area() int64 { return l.W1*l.H2 + l.W2*(l.H1-l.H2) }

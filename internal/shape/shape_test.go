@@ -49,9 +49,6 @@ func TestLImplGeometry(t *testing.T) {
 	if got := l.Area(); got != 6*2+4*3 {
 		t.Errorf("Area = %d, want %d", got, 6*2+4*3)
 	}
-	if got := l.Rect(); got != (RImpl{W: 6, H: 5}) {
-		t.Errorf("Rect = %v", got)
-	}
 	deg := LImpl{W1: 4, W2: 4, H1: 5, H2: 2}
 	if !deg.IsRect() {
 		t.Error("IsRect = false for W1 == W2")

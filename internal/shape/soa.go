@@ -2,103 +2,17 @@ package shape
 
 import "sync"
 
-// This file holds the structure-of-arrays views of shape lists and the
-// pooled scratch buffers behind the dominance-pruning kernels. The pruning
-// sweeps in pareto.go sort and scan *single keys* (one coordinate plus a
-// carried index), so they want contiguous int64 columns rather than 32-byte
-// structs: a column sweep touches 8 bytes per element instead of dragging
-// whole implementations through the cache, and sorting (key, index) pairs
-// with slices.SortFunc compiles to direct comparisons with no reflection.
+// This file holds the pooled scratch buffers behind the dominance-pruning
+// kernels. The pruning sweeps in pareto.go sort and scan *single keys* (one
+// coordinate plus a carried index), so the scratch keeps them in contiguous
+// int64 columns rather than 32-byte structs: a column sweep touches 8 bytes
+// per element instead of dragging whole implementations through the cache,
+// and sorting (key, index) pairs with slices.SortFunc compiles to direct
+// comparisons with no reflection.
 // The pairwise brute-force kernel below the divide-and-conquer cutoff keeps
 // the array-of-structs layout instead: it compares all four coordinates of
 // the same two elements, which is exactly the access pattern AoS packs into
 // one cache line. DESIGN.md §11 documents the split.
-
-// RCols is the structure-of-arrays view of a rectangular implementation
-// list: Ws[i], Hs[i] mirror list[i].W, list[i].H. The canonical RList
-// invariants (Ws strictly decreasing, Hs strictly increasing) carry over.
-// The Stockmeyer evaluator accumulates slicing merges directly on RCols so
-// its inner loops stream over the height column alone.
-type RCols struct {
-	Ws, Hs []int64
-}
-
-// Len returns the number of implementations in the view.
-func (c *RCols) Len() int { return len(c.Ws) }
-
-// Reset empties the view, retaining capacity.
-func (c *RCols) Reset() {
-	c.Ws = c.Ws[:0]
-	c.Hs = c.Hs[:0]
-}
-
-// Append adds one implementation to the view.
-func (c *RCols) Append(w, h int64) {
-	c.Ws = append(c.Ws, w)
-	c.Hs = append(c.Hs, h)
-}
-
-// SetList replaces the view's contents with the columns of l.
-func (c *RCols) SetList(l RList) {
-	c.Reset()
-	if cap(c.Ws) < len(l) {
-		c.Ws = make([]int64, 0, len(l))
-		c.Hs = make([]int64, 0, len(l))
-	}
-	for _, r := range l {
-		c.Append(r.W, r.H)
-	}
-}
-
-// RList materializes the view as an RList. The caller asserts the view is
-// canonical; Validate on the result checks it in tests.
-func (c *RCols) RList() RList {
-	out := make(RList, len(c.Ws))
-	for i := range out {
-		out[i] = RImpl{W: c.Ws[i], H: c.Hs[i]}
-	}
-	return out
-}
-
-// LCols is the structure-of-arrays view of a set of L-shaped
-// implementations: column i mirrors the paper's 4-tuple (w1, w2, h1, h2).
-type LCols struct {
-	W1s, W2s, H1s, H2s []int64
-}
-
-// Len returns the number of implementations in the view.
-func (c *LCols) Len() int { return len(c.W1s) }
-
-// Reset empties the view, retaining capacity.
-func (c *LCols) Reset() {
-	c.W1s = c.W1s[:0]
-	c.W2s = c.W2s[:0]
-	c.H1s = c.H1s[:0]
-	c.H2s = c.H2s[:0]
-}
-
-// SetImpls replaces the view's contents with the columns of impls.
-func (c *LCols) SetImpls(impls []LImpl) {
-	c.Reset()
-	if cap(c.W1s) < len(impls) {
-		n := len(impls)
-		c.W1s = make([]int64, 0, n)
-		c.W2s = make([]int64, 0, n)
-		c.H1s = make([]int64, 0, n)
-		c.H2s = make([]int64, 0, n)
-	}
-	for _, l := range impls {
-		c.W1s = append(c.W1s, l.W1)
-		c.W2s = append(c.W2s, l.W2)
-		c.H1s = append(c.H1s, l.H1)
-		c.H2s = append(c.H2s, l.H2)
-	}
-}
-
-// At returns implementation i of the view.
-func (c *LCols) At(i int) LImpl {
-	return LImpl{W1: c.W1s[i], W2: c.W2s[i], H1: c.H1s[i], H2: c.H2s[i]}
-}
 
 // keyIdx is a sort pair: one int64 key plus the element index it belongs
 // to. The pruning filters sort these instead of permuting implementations.
@@ -107,8 +21,8 @@ type keyIdx struct {
 	idx int32
 }
 
-// pruneScratch pools the working storage of one MinimaL / MinimaR /
-// LSetFromMinimal call: the dominance kernels run once per combine step, so
+// pruneScratch pools the working storage of one MinimaL / MinimaLInPlace
+// call: the dominance kernels run once per combine step, so
 // recycling their buffers removes the dominant per-node allocation churn.
 // A scratch is owned by exactly one call at a time (taken from and returned
 // to a sync.Pool); none of the returned results alias it.

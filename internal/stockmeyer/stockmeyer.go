@@ -5,15 +5,18 @@
 // A slicing floorplan is one obtainable by recursive horizontal and
 // vertical cuts only — no wheels, hence no L-shaped blocks. For such trees
 // the bottom-up combination needs only the linear two-pointer merge of
-// R-lists, and every node's list length is bounded by the sum of its
-// leaves' list lengths, so the whole optimization is low-polynomial.
+// R-lists (combine.VCut and combine.HCut, the merges the general optimizer
+// runs), and every node's list length is bounded by the sum of its leaves'
+// list lengths, so the whole optimization is low-polynomial.
 //
 // The package serves three purposes in this repository:
 //
 //   - it is the baseline algorithm for slicing inputs in the benchmark
 //     harness;
-//   - it provides an independent implementation to cross-check the general
-//     optimizer on slicing trees;
+//   - it folds each n-ary slice of the original tree left to right, where
+//     the general optimizer first restructures the tree into binary cuts,
+//     so on slicing trees the two cross-check the fold against the
+//     restructure;
 //   - it demonstrates the paper's claim (Section 6) that R_Selection plugs
 //     into other floorplan optimizers: Options.K1 applies the same optimal
 //     staircase pruning at every node.
@@ -82,6 +85,9 @@ func Optimize(tree *plan.Node, lib map[string]shape.RList, opts Options) (*Resul
 	if opts.K1 < 0 || opts.K1 == 1 {
 		return nil, fmt.Errorf("stockmeyer: K1 must be 0 (off) or >= 2, got %d", opts.K1)
 	}
+	if err := plan.CheckModules(tree.LeafModules(), lib); err != nil {
+		return nil, err
+	}
 	res := &Result{}
 	root, err := res.eval(tree, lib, opts)
 	if err != nil {
@@ -100,10 +106,7 @@ func (r *Result) eval(n *plan.Node, lib map[string]shape.RList, opts Options) (s
 	var list shape.RList
 	switch n.Kind {
 	case plan.Leaf:
-		l, ok := lib[n.Module]
-		if !ok {
-			return nil, fmt.Errorf("stockmeyer: module %q not in library", n.Module)
-		}
+		l := lib[n.Module] // present: Optimize ran plan.CheckModules
 		if err := l.Validate(); err != nil {
 			return nil, fmt.Errorf("stockmeyer: module %q: %w", n.Module, err)
 		}
@@ -112,29 +115,21 @@ func (r *Result) eval(n *plan.Node, lib map[string]shape.RList, opts Options) (s
 		}
 		list = l
 	case plan.HSlice, plan.VSlice:
-		// Fold the children through structure-of-arrays accumulators: the
-		// ping-pong pair is reused across the whole fold, so an m-way slice
-		// costs two growing column buffers instead of m-1 exact-size list
-		// allocations, and the merge loop streams over int64 columns. The
-		// buffers are per-node locals because the recursive child
-		// evaluations below would otherwise clobber a shared scratch.
-		first, err := r.eval(n.Children[0], lib, opts)
-		if err != nil {
-			return nil, err
+		cut := combine.HCut
+		if n.Kind == plan.VSlice {
+			cut = combine.VCut
 		}
-		vertical := n.Kind == plan.VSlice
-		var acc, dst, operand shape.RCols
-		acc.SetList(first)
-		for _, c := range n.Children[1:] {
+		for i, c := range n.Children {
 			next, err := r.eval(c, lib, opts)
 			if err != nil {
 				return nil, err
 			}
-			operand.SetList(next)
-			combine.MergeCols(&dst, &acc, &operand, vertical)
-			acc, dst = dst, acc
+			if i == 0 {
+				list = next
+			} else {
+				list = cut(list, next)
+			}
 		}
-		list = acc.RList()
 	default:
 		return nil, fmt.Errorf("stockmeyer: unsupported node kind %v", n.Kind)
 	}

@@ -85,8 +85,10 @@ func TestRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestMatchesGeneralOptimizer cross-checks the two independent
-// implementations on random slicing trees.
+// TestMatchesGeneralOptimizer cross-checks the n-ary fold against the
+// general optimizer's binary restructure on random slicing trees. Both run
+// combine.VCut/HCut, which TestVCutMatchesBrute and TestHCutMatchesBrute
+// pin to brute force; what differs is how the merges are grouped.
 func TestMatchesGeneralOptimizer(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
@@ -156,8 +158,10 @@ func TestSelectionHook(t *testing.T) {
 	}
 }
 
+// TestDeepSliceChain folds a 100-leaf comb, one slice with 100 children,
+// and compares the root list and best to the general optimizer, which
+// restructures the comb into a chain of 99 binary cuts.
 func TestDeepSliceChain(t *testing.T) {
-	// A 100-leaf comb: exercises the fold and linear merges.
 	rng := rand.New(rand.NewSource(73))
 	leaves := make([]*plan.Node, 100)
 	lib := make(map[string]shape.RList)
@@ -186,5 +190,17 @@ func TestDeepSliceChain(t *testing.T) {
 		if r.W < minW {
 			t.Fatalf("root width %d below lower bound %d", r.W, minW)
 		}
+	}
+	opt, err := optimizer.New(optimizer.Library(lib), optimizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := opt.Run(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best != want.Best || !res.RootList.Equal(want.RootList) {
+		t.Fatalf("comb: stockmeyer best %v, %d-entry root list; optimizer best %v, %d-entry root list",
+			res.Best, len(res.RootList), want.Best, len(want.RootList))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"strings"
 
 	"floorplan/internal/buildinfo"
@@ -147,13 +146,4 @@ func writePromHistogram(w io.Writer, name string, h *Histogram) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, sum, name, count)
 	return err
-}
-
-// PromHandler serves the collector in the text exposition format — the
-// handler behind GET /metrics on fpserve and the debug listener.
-func PromHandler(c *Collector) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", PromContentType)
-		_ = c.WritePrometheus(w)
-	})
 }
