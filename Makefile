@@ -1,14 +1,15 @@
 # Developer entry points. `make check` is the CI gate: vet plus the full
 # test suite under the race detector (the parallel evaluator, annealer and
 # table grid are all exercised concurrently by their tests), focused race
-# passes over the telemetry collector, the shared LRU, the arenas and the
-# serving path, the observability goldens, the benchmark module's vet and
-# tests, and the serve, load and cluster smokes. Performance is measured by
-# the benchmark in bench/ (see bench/README.md), not by make.
+# passes over the telemetry collector, the shared LRU, the pooled combine
+# buffers and the serving path, the observability goldens, the benchmark
+# module's vet and tests, and the serve, load and cluster smokes.
+# Performance is measured by the benchmark in bench/ (see bench/README.md),
+# not by make.
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-report bench-module race-arena serve-smoke load-smoke cluster-smoke race-serve obs-check check
+.PHONY: all build test race vet bench bench-report bench-module race-combine serve-smoke load-smoke cluster-smoke race-serve obs-check check
 
 all: build
 
@@ -49,11 +50,12 @@ bench-report: build
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Focused race pass over the arena-backed evaluation hot path: the slab
-# arenas themselves plus the parallel optimizer that resets them per node.
-race-arena:
-	$(GO) test -race -count=2 ./internal/arena/...
-	$(GO) test -race -run 'TestWorkersBitIdentical|TestParallelMemoryLimit' ./internal/optimizer/
+# Focused race pass over the evaluation hot path: the pooled combine
+# buffers, whose results must never alias a buffer another goroutine reuses,
+# plus the parallel optimizer and the memory-limited runs it must not change.
+race-combine:
+	$(GO) test -race -count=2 ./internal/combine/
+	$(GO) test -race -run 'TestWorkersBitIdentical|TestMemoryLimitWorkersAgree' ./internal/optimizer/
 
 # serve-smoke boots fpserve on a random port and drives it through the
 # HTTP API with `fpbench -server` (health check, a concurrent burst that
@@ -93,5 +95,5 @@ obs-check:
 	$(GO) test ./internal/reqid/... ./internal/slogx/...
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-check: vet race obs-check race-serve race-arena bench-module load-smoke cluster-smoke
+check: vet race obs-check race-serve race-combine bench-module load-smoke cluster-smoke
 	$(GO) test -race ./internal/telemetry/... ./internal/cache/...

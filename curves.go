@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"floorplan/internal/plan"
 	"floorplan/internal/selection"
 	"floorplan/internal/shape"
 )
@@ -56,9 +57,10 @@ type SelectionPoint = selection.SweepPoint
 
 // SelectionCurve computes, in a single dynamic program, the optimal
 // staircase error of keeping exactly k implementations for every
-// k in [2, kmax] — the full trade-off curve behind R_Selection.
+// k in [2, kmax] — the full trade-off curve behind R_Selection. Extents
+// are bounded as in SelectImpls.
 func SelectionCurve(impls []Impl, kmax int) ([]SelectionPoint, error) {
-	l, err := shape.NewRList(impls)
+	l, err := plan.CanonicalModule("impls", impls)
 	if err != nil {
 		return nil, err
 	}
@@ -67,9 +69,9 @@ func SelectionCurve(impls []Impl, kmax int) ([]SelectionPoint, error) {
 
 // SelectImplsBudget keeps the smallest subset of implementations whose
 // staircase error stays within budget — the error-budget dual of the
-// paper's fixed-K limit.
+// paper's fixed-K limit. Extents are bounded as in SelectImpls.
 func SelectImplsBudget(impls []Impl, budget int64) ([]Impl, int64, error) {
-	l, err := shape.NewRList(impls)
+	l, err := plan.CanonicalModule("impls", impls)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -100,6 +100,40 @@ func TestSelectImplsBudgetErrors(t *testing.T) {
 	}
 }
 
+// TestSelectionExtentBound pins the selection entry points to the library's
+// extent bound. Dropping the middle corner of (3·2⁴⁰, 1), (2·2⁴⁰, 2⁴⁰),
+// (1, 3·2⁴⁰) loses 2⁸¹ of area, which wraps int64 to 0: unchecked, the
+// selection reports it as free. At the bound itself the error is exact.
+func TestSelectionExtentBound(t *testing.T) {
+	const e = int64(1) << 40
+	over := []floorplan.Impl{{W: 3 * e, H: 1}, {W: 2 * e, H: e}, {W: 1, H: 3 * e}}
+	if sel, lost, err := floorplan.SelectImpls(over, 2); err == nil {
+		t.Errorf("SelectImpls accepted extents above 2³¹−1: %v, error %d", sel, lost)
+	}
+	if curve, err := floorplan.SelectionCurve(over, 3); err == nil {
+		t.Errorf("SelectionCurve accepted extents above 2³¹−1: %v", curve)
+	}
+	if sel, lost, err := floorplan.SelectImplsBudget(over, 0); err == nil {
+		t.Errorf("SelectImplsBudget accepted extents above 2³¹−1: %v, error %d", sel, lost)
+	}
+
+	const m = int64(1)<<31 - 1
+	edge := []floorplan.Impl{{W: m, H: 1}, {W: m / 2, H: m / 2}, {W: 1, H: m}}
+	const want = int64(1) << 60 // (m − m/2)·(m − m/2)
+	sel, lost, err := floorplan.SelectImpls(edge, 2)
+	if err != nil || len(sel) != 2 || lost != want {
+		t.Errorf("SelectImpls at the bound = %v, %d, %v; want 2 corners, error %d", sel, lost, err, want)
+	}
+	curve, err := floorplan.SelectionCurve(edge, 3)
+	if err != nil || len(curve) != 2 || curve[0].Error != want || curve[1].Error != 0 {
+		t.Errorf("SelectionCurve at the bound = %v, %v", curve, err)
+	}
+	sel, lost, err = floorplan.SelectImplsBudget(edge, 0)
+	if err != nil || len(sel) != 3 || lost != 0 {
+		t.Errorf("SelectImplsBudget at the bound = %v, %d, %v; want all 3 corners", sel, lost, err)
+	}
+}
+
 func TestGrid(t *testing.T) {
 	g, err := floorplan.Grid(3, 4, nil)
 	if err != nil {

@@ -115,9 +115,11 @@ type Options struct {
 	SkipPlacement bool
 	// Workers bounds the number of goroutines evaluating floorplan blocks
 	// concurrently (0 = one per CPU, 1 = sequential). Successful runs
-	// return bit-identical results for every worker count; memory-limited
-	// runs always fail with IsMemoryLimit but may abort at a different
-	// block.
+	// return bit-identical results for every worker count. A
+	// memory-limited run (MemoryLimit > 0) always evaluates sequentially,
+	// in the order the paper's M is measured in, so it too has one outcome
+	// for every worker count: the same result, or the same IsMemoryLimit
+	// error and partial Stats.
 	Workers int
 	// Telemetry, when non-nil, records the run's metrics, per-block eval
 	// spans and pipeline stage spans; read them back with
@@ -293,8 +295,10 @@ func Fingerprint(tree *Tree, lib Library, opts Options) (string, error) {
 // the k-subset of a rectangular block's implementations (canonicalized
 // first) that minimizes the lost staircase area, and returns the subset and
 // the error. Useful for approximating continuous shape functions (Section 6).
+// Like a library module, every extent must be at most 2³¹−1, so the error
+// arithmetic cannot overflow.
 func SelectImpls(impls []Impl, k int) ([]Impl, int64, error) {
-	l, err := shape.NewRList(impls)
+	l, err := plan.CanonicalModule("impls", impls)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -33,17 +33,17 @@
 //
 // The L-block cross products build one large transient candidate buffer per
 // call, pruned in place (shape.MinimaLInPlace / MinimaRInPlace) and
-// partitioned into the retained result at the end. Callers on the optimizer
-// hot path pass an Alloc so those buffers come from per-worker arena slabs
-// (package arena) instead of the heap; the zero Alloc falls back to plain
-// makes. Results never alias the buffers, so the caller may reset its arena
-// as soon as the call returns.
+// partitioned into the retained result at the end. The buffers are kernel
+// scratch, recycled through a sync.Pool like shape's prune scratch and
+// cspp's DP tables. Results never alias them (shape.LSetFromMinimal builds
+// exact-capacity chains, Close clones), so one pool serves every goroutine
+// and every run.
 package combine
 
 import (
 	"sort"
+	"sync"
 
-	"floorplan/internal/arena"
 	"floorplan/internal/shape"
 )
 
@@ -189,27 +189,21 @@ func mergeH(a, b shape.RList) shape.RList {
 	return out
 }
 
-// Alloc carries optional arena allocators for the transient candidate
-// buffers of the L-block operations. The zero value allocates from the
-// heap. Results returned by the operations never alias arena storage, so
-// the owner may Reset the arenas as soon as a call returns.
-type Alloc struct {
-	L *arena.Arena[shape.LImpl]
-	R *arena.Arena[shape.RImpl]
-}
+// lBufs and rBufs recycle the candidate buffers of the L-block cross
+// products. Each call takes one, fills and prunes it, copies its result out
+// and puts it back.
+var (
+	lBufs = sync.Pool{New: func() any { return new([]shape.LImpl) }}
+	rBufs = sync.Pool{New: func() any { return new([]shape.RImpl) }}
+)
 
-func (al Alloc) lBuf(n int) []shape.LImpl {
-	if al.L != nil {
-		return al.L.Buf(n)
+// getBuf takes a buffer of capacity at least n from pool.
+func getBuf[T any](pool *sync.Pool, n int) *[]T {
+	p := pool.Get().(*[]T)
+	if cap(*p) < n {
+		*p = make([]T, 0, n)
 	}
-	return make([]shape.LImpl, 0, n)
-}
-
-func (al Alloc) rBuf(n int) []shape.RImpl {
-	if al.R != nil {
-		return al.R.Buf(n)
-	}
-	return make([]shape.RImpl, 0, n)
+	return p
 }
 
 // candidateChunk bounds the transient candidate buffer during L-block cross
@@ -251,7 +245,7 @@ func newBudgeter(budget int) *budgeter {
 // cardinalities: the exact product when it is small, else the prune
 // threshold plus one inner row of margin (the buffer is pruned back below
 // chunk after each inner row, so it can overshoot by at most one row —
-// sizing for that keeps arena-backed buffers from spilling to the heap).
+// sizing for that keeps a pooled buffer from regrowing mid-call).
 func (bg *budgeter) lCap(a, b int) int {
 	if a <= 0 || b <= 0 {
 		return 0
@@ -291,16 +285,13 @@ func (bg *budgeter) pruneR(buf []shape.RImpl, force bool) []shape.RImpl {
 // non-redundant set provably exceeds it, generation stops and truncated is
 // true (the partial set is returned for accounting).
 func LStack(bottom, top shape.RList, budget int) (result shape.LSet, truncated bool) {
-	return LStackA(Alloc{}, bottom, top, budget)
-}
-
-// LStackA is LStack drawing its transient buffer from al.
-func LStackA(al Alloc, bottom, top shape.RList, budget int) (result shape.LSet, truncated bool) {
 	bg := newBudgeter(budget)
 	if bg.truncated {
 		return shape.LSet{}, true
 	}
-	buf := al.lBuf(bg.lCap(len(bottom), len(top)))
+	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(len(bottom), len(top)))
+	defer lBufs.Put(bp)
+	buf := (*bp)[:0]
 	for _, a := range bottom {
 		for _, b := range top {
 			buf = append(buf, StackCand(a, b))
@@ -315,16 +306,13 @@ func LStackA(al Alloc, bottom, top shape.RList, budget int) (result shape.LSet, 
 
 // LNotch grows an L-shaped block by the center block.
 func LNotch(l shape.LSet, c shape.RList, budget int) (result shape.LSet, truncated bool) {
-	return LNotchA(Alloc{}, l, c, budget)
-}
-
-// LNotchA is LNotch drawing its transient buffer from al.
-func LNotchA(al Alloc, l shape.LSet, c shape.RList, budget int) (result shape.LSet, truncated bool) {
 	bg := newBudgeter(budget)
 	if bg.truncated {
 		return shape.LSet{}, true
 	}
-	buf := al.lBuf(bg.lCap(l.Size(), len(c)))
+	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(l.Size(), len(c)))
+	defer lBufs.Put(bp)
+	buf := (*bp)[:0]
 	for _, list := range l.Lists {
 		for _, li := range list {
 			for _, ci := range c {
@@ -348,16 +336,13 @@ func LNotchA(al Alloc, l shape.LSet, c shape.RList, budget int) (result shape.LS
 
 // LBottom grows an L-shaped block by the SE block.
 func LBottom(l shape.LSet, c shape.RList, budget int) (result shape.LSet, truncated bool) {
-	return LBottomA(Alloc{}, l, c, budget)
-}
-
-// LBottomA is LBottom drawing its transient buffer from al.
-func LBottomA(al Alloc, l shape.LSet, c shape.RList, budget int) (result shape.LSet, truncated bool) {
 	bg := newBudgeter(budget)
 	if bg.truncated {
 		return shape.LSet{}, true
 	}
-	buf := al.lBuf(bg.lCap(l.Size(), len(c)))
+	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(l.Size(), len(c)))
+	defer lBufs.Put(bp)
+	buf := (*bp)[:0]
 	for _, list := range l.Lists {
 		for _, li := range list {
 			// SE blocks shorter than the bottom slab (c.H <= H2) disappear
@@ -381,20 +366,16 @@ func LBottomA(al Alloc, l shape.LSet, c shape.RList, budget int) (result shape.L
 }
 
 // Close completes the pinwheel with the NE block, yielding a rectangular
-// block's R-list.
+// block's R-list. The result is a fresh exact-size copy: the optimizer
+// retains it, so it must not alias the pooled buffer.
 func Close(l shape.LSet, c shape.RList, budget int) (result shape.RList, truncated bool) {
-	return CloseA(Alloc{}, l, c, budget)
-}
-
-// CloseA is Close drawing its transient buffer from al. The returned list
-// is a fresh exact-size copy (it is retained by the optimizer, so it must
-// not alias recyclable arena storage).
-func CloseA(al Alloc, l shape.LSet, c shape.RList, budget int) (result shape.RList, truncated bool) {
 	bg := newBudgeter(budget)
 	if bg.truncated {
 		return nil, true
 	}
-	buf := al.rBuf(bg.lCap(l.Size(), len(c)))
+	bp := getBuf[shape.RImpl](&rBufs, bg.lCap(l.Size(), len(c)))
+	defer rBufs.Put(bp)
+	buf := (*bp)[:0]
 	for _, list := range l.Lists {
 		for _, li := range list {
 			// NE blocks shorter than the notch (H2+c.H <= H1) all close to

@@ -7,12 +7,13 @@
 // moment the count would exceed it.
 //
 // The Tracker is safe for concurrent use: the parallel evaluator's workers
-// all admit and release against one shared instance. Admission is
-// reservation-based — an Add that would push the stored count past the
-// limit is rejected *without* admitting anything, so the current count
-// never exceeds the limit no matter how many goroutines race. The would-be
-// count of every rejected Add is still recorded so Peak can report the
-// paper's "> limit" value after a failure.
+// count against one shared instance, and each serving cache charges its
+// byte budget to one from many requests. Admission is reservation-based —
+// an Add that would push the stored count past the limit is rejected
+// *without* admitting anything, so the current count never exceeds the
+// limit no matter how many goroutines race. The would-be count of every
+// rejected Add is still recorded so Peak can report the paper's "> limit"
+// value after a failure.
 package memtrack
 
 import (
@@ -36,12 +37,7 @@ type Tracker struct {
 	// overPeak is the maximum would-be count of any rejected Add — the
 	// value behind the paper's "> M" rows. Zero until an Add fails.
 	overPeak atomic.Int64
-	// casRetries counts failed compare-and-swap attempts in Add/Release —
-	// the contention signal telemetry reports as reservation pressure.
-	casRetries atomic.Int64
-	// denials counts Adds rejected at the limit.
-	denials atomic.Int64
-	limit   int64
+	limit    int64
 }
 
 // NewTracker returns a tracker that fails any Add pushing the current count
@@ -64,14 +60,12 @@ func (t *Tracker) Add(n int64) error {
 		next := cur + n
 		if t.limit > 0 && next > t.limit {
 			bumpMax(&t.overPeak, next)
-			t.denials.Add(1)
 			return fmt.Errorf("%w: %d stored > limit %d", ErrLimit, next, t.limit)
 		}
 		if t.current.CompareAndSwap(cur, next) {
 			bumpMax(&t.peak, next)
 			return nil
 		}
-		t.casRetries.Add(1)
 	}
 }
 
@@ -89,7 +83,6 @@ func (t *Tracker) Release(n int64) error {
 		if t.current.CompareAndSwap(cur, cur-n) {
 			return nil
 		}
-		t.casRetries.Add(1)
 	}
 }
 
@@ -125,12 +118,3 @@ func (t *Tracker) Admitted() int64 { return t.peak.Load() }
 
 // Limit returns the configured limit (0 = unlimited).
 func (t *Tracker) Limit() int64 { return t.limit }
-
-// CASRetries returns the number of failed compare-and-swap attempts across
-// Add and Release — a measure of reservation contention under the parallel
-// evaluator. Inherently nondeterministic; telemetry files it under the
-// runtime section.
-func (t *Tracker) CASRetries() int64 { return t.casRetries.Load() }
-
-// Denials returns the number of admissions rejected at the limit.
-func (t *Tracker) Denials() int64 { return t.denials.Load() }

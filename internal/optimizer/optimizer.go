@@ -19,7 +19,6 @@ import (
 	"sort"
 	"time"
 
-	"floorplan/internal/arena"
 	"floorplan/internal/combine"
 	"floorplan/internal/cspp"
 	"floorplan/internal/memtrack"
@@ -63,10 +62,11 @@ type Options struct {
 	// value, a successful run's Best, RootList, Stats (except Elapsed),
 	// NodeStats and Placement are bit-identical: per-node results do not
 	// depend on evaluation order and the final merge replays the
-	// sequential memory-accounting order. Memory-limited runs may abort at
-	// a different node under different worker counts (admission order is
-	// scheduling-dependent), but they never admit past the limit and
-	// always fail with an error matching ErrMemoryLimit.
+	// sequential memory-accounting order. A memory-limited run
+	// (MemoryLimit > 0) always evaluates sequentially, whatever Workers
+	// says: the paper's M is the peak of the sequential order, so only
+	// that order gives one outcome — success, or the same error and
+	// partial Stats — for every worker count.
 	Workers int
 	// Telemetry, when non-nil, receives the run's metrics, per-node eval
 	// spans and stage spans. The deterministic report section is identical
@@ -83,8 +83,12 @@ type Options struct {
 	Substore *substore.Store
 }
 
-// workers resolves the effective worker count for a schedule of n nodes.
+// workers resolves the effective worker count for a schedule of n nodes:
+// 1 for a memory-limited run (see Workers).
 func (o Options) workers(n int) int {
+	if o.MemoryLimit > 0 {
+		return 1
+	}
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -243,50 +247,11 @@ type runState struct {
 	// hand-off orders the accesses).
 	evals    []*nodeEval
 	outcomes []*nodeOutcome
-	// allocs are the per-worker combine allocators, indexed by worker.
-	// Each worker owns its arenas exclusively, so no synchronization is
-	// needed; combine results never alias arena storage, which lets the
-	// worker Reset its arenas after every node (slabs stay warm for the
-	// next node on that worker).
-	allocs []combine.Alloc
-	// arenaLedger accounts slab bytes across all workers' arenas; its Peak
-	// feeds the arena.slab_bytes_peak watermark.
-	arenaLedger *memtrack.Tracker
 	// sub is the subtree result store consulted and filled by this run;
 	// nil when memoization is off. digests holds every node's content
 	// address, indexed by BinNode.ID, computed once up front.
 	sub     *substore.Store
 	digests []plan.Digest
-}
-
-// arenaSlabImpls is the slab capacity, in implementations, of each combine
-// arena. Deliberately modest (4Ki LImpls = 128KiB): a fresh slab is zeroed
-// by the runtime, so oversizing it taxes short runs that never fill it.
-// Buffers larger than one slab get exact-size dedicated slabs
-// transparently — no dearer than the heap allocation they replace — and
-// are reused by later nodes on the worker after Reset.
-const arenaSlabImpls = 1 << 12
-
-// newAllocs builds one combine.Alloc per worker, all charging the shared
-// byte ledger.
-func newAllocs(workers int, ledger *memtrack.Tracker) []combine.Alloc {
-	allocs := make([]combine.Alloc, workers)
-	for i := range allocs {
-		allocs[i] = combine.Alloc{
-			L: arena.New[shape.LImpl](ledger, arenaSlabImpls),
-			R: arena.New[shape.RImpl](ledger, arenaSlabImpls),
-		}
-	}
-	return allocs
-}
-
-// freeArenas returns every worker's slab bytes to the ledger. The arenas
-// stay usable (a later Alloc re-charges), but runs never reuse a runState.
-func (st *runState) freeArenas() {
-	for _, a := range st.allocs {
-		a.L.Free()
-		a.R.Free()
-	}
 }
 
 // Run optimizes the floorplan tree. On memory exhaustion it returns an
@@ -342,8 +307,6 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 		work = st.resolveFromStore(schedule)
 	}
 	workers := o.opts.workers(len(work))
-	st.arenaLedger = memtrack.NewTracker(0)
-	st.allocs = newAllocs(workers, st.arenaLedger)
 	var poolSolves0, poolHits0, poolMisses0 int64
 	evalSpanStart := st.tel.Now()
 	if st.tel != nil {
@@ -364,7 +327,6 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 	}
 	stats, nodeStats := st.mergeOutcomes(schedule)
 	stats.Elapsed = time.Since(start)
-	st.freeArenas()
 	if evalErr != nil {
 		// A failed run reports the tracker's view: the peak includes the
 		// would-be count of the rejected admission, the paper's "> M".
@@ -381,7 +343,6 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 		st.tel.Add(telemetry.CtrCSPPSolves, solves-poolSolves0)
 		st.tel.Add(telemetry.CtrCSPPPoolHits, hits-poolHits0)
 		st.tel.Add(telemetry.CtrCSPPPoolMiss, misses-poolMisses0)
-		st.tel.Observe(telemetry.MaxArenaBytes, st.arenaLedger.Peak())
 		st.emitTelemetry(schedule, stats)
 	}
 	if evalErr != nil {
@@ -509,10 +470,10 @@ func (st *runState) mergeOutcomes(schedule []*plan.BinNode) (Stats, []NodeStat) 
 // branch.
 func (st *runState) evalNode(b *plan.BinNode, worker int) error {
 	if st.tel == nil {
-		return st.evalNodeInner(b, worker)
+		return st.evalNodeInner(b)
 	}
 	start := st.tel.Now()
-	err := st.evalNodeInner(b, worker)
+	err := st.evalNodeInner(b)
 	if out := st.outcomes[b.ID]; out != nil {
 		out.start = start
 		out.dur = st.tel.Now() - start
@@ -521,7 +482,7 @@ func (st *runState) evalNode(b *plan.BinNode, worker int) error {
 	return err
 }
 
-func (st *runState) evalNodeInner(b *plan.BinNode, worker int) error {
+func (st *runState) evalNodeInner(b *plan.BinNode) error {
 	out := &nodeOutcome{}
 	st.outcomes[b.ID] = out
 	if b.Kind == plan.BinLeaf {
@@ -556,36 +517,26 @@ func (st *runState) evalNodeInner(b *plan.BinNode, worker int) error {
 		out.failed = true
 		return err
 	}
-	// al is this worker's private allocator; combine results never alias
-	// its arenas (see combine.Alloc), so resetting them after the node is
-	// safe and keeps the slabs warm for the worker's next node.
-	al := st.allocs[worker]
 	switch b.Kind {
 	case plan.BinVCut:
 		err = st.finishR(b, out, combine.VCut(left.rl, right.rl), false)
 	case plan.BinHCut:
 		err = st.finishR(b, out, combine.HCut(left.rl, right.rl), false)
 	case plan.BinLStack:
-		set, truncated := combine.LStackA(al, left.rl, right.rl, budget)
+		set, truncated := combine.LStack(left.rl, right.rl, budget)
 		err = st.finishL(b, out, set, truncated)
 	case plan.BinLNotch:
-		set, truncated := combine.LNotchA(al, left.ls, right.rl, budget)
+		set, truncated := combine.LNotch(left.ls, right.rl, budget)
 		err = st.finishL(b, out, set, truncated)
 	case plan.BinLBottom:
-		set, truncated := combine.LBottomA(al, left.ls, right.rl, budget)
+		set, truncated := combine.LBottom(left.ls, right.rl, budget)
 		err = st.finishL(b, out, set, truncated)
 	case plan.BinClose:
-		list, truncated := combine.CloseA(al, left.ls, right.rl, budget)
+		list, truncated := combine.Close(left.ls, right.rl, budget)
 		err = st.finishR(b, out, list, truncated)
 	default:
 		out.failed = true
 		return fmt.Errorf("optimizer: unexpected node kind %v", b.Kind)
-	}
-	if al.L != nil {
-		al.L.Reset()
-	}
-	if al.R != nil {
-		al.R.Reset()
 	}
 	return err
 }
@@ -594,27 +545,20 @@ func (st *runState) evalNodeInner(b *plan.BinNode, worker int) error {
 // before the memory limit trips, or 0 (unlimited) when no limit is set.
 // When the budget is already exhausted it fails immediately: every
 // combination stores at least one implementation, so generating the node
-// would only burn CPU before the inevitable limit error. The probing Add
-// records the would-be count so the failure reports "> limit" like every
-// other abort.
+// would only burn CPU before the inevitable limit error. A limited run is
+// sequential, so the count cannot move between the read and the probing
+// Add, which fails and records the would-be count so the error reports
+// "> limit" like every other abort.
 func (st *runState) remainingBudget(b *plan.BinNode) (int, error) {
 	limit := st.o.opts.MemoryLimit
 	if limit <= 0 {
 		return 0, nil
 	}
-	rem := limit - st.mem.Current()
-	if rem >= 1 {
+	if rem := limit - st.mem.Current(); rem >= 1 {
 		return int(rem), nil
 	}
-	if err := st.mem.Add(1); err != nil {
-		return 0, fmt.Errorf("optimizer: node %d (%v): %w", b.ID, b.Kind, err)
-	}
-	// A concurrent Release freed room between the two tracker reads; hand
-	// the probed unit back and continue with the minimal budget.
-	if err := st.mem.Release(1); err != nil {
-		return 0, err
-	}
-	return 1, nil
+	err := st.mem.Add(1)
+	return 0, fmt.Errorf("optimizer: node %d (%v): %w", b.ID, b.Kind, err)
 }
 
 // finishR accounts for, optionally reduces, and stores a rectangular
@@ -692,8 +636,8 @@ func (st *runState) finishL(b *plan.BinNode, out *nodeOutcome, set shape.LSet, t
 // walking the canonical postorder schedule exactly like mergeOutcomes —
 // every node's contribution lands in the same order no matter which
 // worker produced it, so the deterministic report section is bit-identical
-// across worker counts. Wall-clock data (eval spans, per-worker busy time,
-// memtrack churn) goes to the runtime section, which legitimately varies.
+// across worker counts. Wall-clock data (eval spans, per-worker busy time)
+// goes to the runtime section, which legitimately varies.
 func (st *runState) emitTelemetry(schedule []*plan.BinNode, stats Stats) {
 	tel := st.tel
 	for _, b := range schedule {
@@ -741,8 +685,6 @@ func (st *runState) emitTelemetry(schedule []*plan.BinNode, stats Stats) {
 	tel.Observe(telemetry.MaxPeakStored, stats.PeakStored)
 	tel.Observe(telemetry.MaxRList, int64(stats.MaxRList))
 	tel.Observe(telemetry.MaxLSet, int64(stats.MaxLSet))
-	tel.Add(telemetry.CtrMemDenials, st.mem.Denials())
-	tel.Add(telemetry.CtrMemCASRetries, st.mem.CASRetries())
 }
 
 // IsMemoryLimit reports whether err is a memory-limit abort.

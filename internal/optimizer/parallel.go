@@ -29,8 +29,6 @@ import (
 //     evaluating node id. A parent's worker observes its children's writes
 //     through the atomic pending-counter decrement followed by the channel
 //     hand-off, both of which establish happens-before edges.
-//   - The shared memory tracker is atomic and reservation-based, so
-//     concurrent admissions can never push the stored count past the limit.
 //   - On any failure the scheduler stops evaluating (remaining ready nodes
 //     drain without running) and, after all workers join, reports the error
 //     of the lowest-ID failed node — deterministic when a failure is itself

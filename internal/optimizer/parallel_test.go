@@ -56,41 +56,69 @@ func TestWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelMemoryLimit reproduces the paper's out-of-memory failure
-// under concurrency: with several workers and a small limit, the run must
-// fail with ErrMemoryLimit, report the "> limit" peak, and — the
-// reservation tracker's invariant — never actually admit past the limit
-// (FinalStored is the admitted count at the end of the drained run).
-func TestParallelMemoryLimit(t *testing.T) {
+// TestMemoryLimitWorkersAgree pins one outcome per memory-limited run,
+// whatever the worker count. With MemoryLimit at the sequential peak M,
+// every run succeeds with the unlimited answer; at M−1 every run fails
+// with the same error text and the same partial Stats, reports the
+// "> limit" peak and never admits past the limit. Parallel evaluation
+// would let several nodes hold their full generated lists at once, so a
+// run at M could fail, at a node that changes from run to run.
+func TestMemoryLimitWorkersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	tree, err := gen.RandomTree(rng, 12, 0.8)
-	if err != nil {
-		t.Fatal(err)
+	policy := selection.Policy{K1: 8, K2: 60}
+	trees, repeats := 20, 5
+	if testing.Short() {
+		trees, repeats = 4, 2
 	}
-	rawLib, err := gen.Library(rng, tree, gen.DefaultModuleParams(8))
-	if err != nil {
-		t.Fatal(err)
+	stats := func(r *Result) Stats {
+		s := r.Stats
+		s.Elapsed = 0
+		return s
 	}
-	lib := Library(rawLib)
-	const limit = 50
-	for _, w := range []int{2, 4, 8} {
-		res, err := mustOptimizer(t, lib, Options{MemoryLimit: limit, Workers: w}).Run(tree)
-		if err == nil {
-			t.Fatalf("workers %d: expected memory-limit abort", w)
+	for trial := 0; trial < trees; trial++ {
+		tree, err := gen.RandomTree(rng, 40, 0.5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !IsMemoryLimit(err) {
-			t.Fatalf("workers %d: error %v does not match ErrMemoryLimit", w, err)
+		rawLib, err := gen.Library(rng, tree, gen.DefaultModuleParams(8))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res == nil {
-			t.Fatalf("workers %d: no partial stats", w)
+		lib := Library(rawLib)
+		ref := mustRun(t, lib, Options{Policy: policy, Workers: 1, SkipPlacement: true}, tree)
+		limit := ref.Stats.PeakStored
+		failRef, failErr := mustOptimizer(t, lib, Options{
+			Policy: policy, MemoryLimit: limit - 1, Workers: 1, SkipPlacement: true,
+		}).Run(tree)
+		if !IsMemoryLimit(failErr) {
+			t.Fatalf("trial %d: limit M-1 = %d: error %v, want ErrMemoryLimit", trial, limit-1, failErr)
 		}
-		if res.Stats.PeakStored <= limit {
-			t.Errorf("workers %d: PeakStored = %d, want > %d for '> M' reporting",
-				w, res.Stats.PeakStored, limit)
+		if failRef.Stats.PeakStored <= limit-1 || failRef.Stats.FinalStored > limit-1 {
+			t.Fatalf("trial %d: limit M-1 = %d: PeakStored %d, FinalStored %d; want > and <= the limit",
+				trial, limit-1, failRef.Stats.PeakStored, failRef.Stats.FinalStored)
 		}
-		if res.Stats.FinalStored > limit {
-			t.Errorf("workers %d: over-admitted: FinalStored = %d > limit %d",
-				w, res.Stats.FinalStored, limit)
+		for rep := 0; rep < repeats; rep++ {
+			for _, w := range []int{1, 2, 8} {
+				got, err := mustOptimizer(t, lib, Options{
+					Policy: policy, MemoryLimit: limit, Workers: w, SkipPlacement: true,
+				}).Run(tree)
+				if err != nil {
+					t.Fatalf("trial %d rep %d workers %d: limit M = %d: %v", trial, rep, w, limit, err)
+				}
+				if got.Best != ref.Best || !got.RootList.Equal(ref.RootList) || stats(got) != stats(ref) {
+					t.Fatalf("trial %d rep %d workers %d: limit M changed the answer", trial, rep, w)
+				}
+				got, err = mustOptimizer(t, lib, Options{
+					Policy: policy, MemoryLimit: limit - 1, Workers: w, SkipPlacement: true,
+				}).Run(tree)
+				if err == nil || err.Error() != failErr.Error() {
+					t.Fatalf("trial %d rep %d workers %d: limit M-1: error %v, want %v", trial, rep, w, err, failErr)
+				}
+				if stats(got) != stats(failRef) {
+					t.Fatalf("trial %d rep %d workers %d: limit M-1: Stats %+v, want %+v",
+						trial, rep, w, stats(got), stats(failRef))
+				}
+			}
 		}
 	}
 }

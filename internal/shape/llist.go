@@ -94,8 +94,8 @@ func newLSetUnchecked(candidates []LImpl) LSet {
 // candidate set (as produced by MinimaL or MinimaLInPlace) into irreducible
 // L-lists without re-pruning it. The input is reordered in place and
 // overwritten as scratch; the result does not retain it. The combine stage
-// uses this on its arena-backed buffers so the re-prune inside MustLSet —
-// and the copy out of the arena — both disappear from the hot path.
+// uses this on its pooled buffers so the re-prune inside MustLSet — and
+// the copy out of the buffer — both disappear from the hot path.
 func LSetFromMinimal(minimal []LImpl) LSet {
 	return lsetFromOwned(minimal)
 }

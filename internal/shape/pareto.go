@@ -131,7 +131,7 @@ func MinimaL(candidates []LImpl) []LImpl {
 // MinimaLInPlace is MinimaL taking ownership of buf: it sorts and compacts
 // buf, returning the minimal, deduplicated, lexicographically ordered prefix
 // (sharing buf's backing array). The combine stage uses it to prune its
-// arena-backed candidate buffers without copying them out.
+// pooled candidate buffers without copying them out.
 func MinimaLInPlace(buf []LImpl) []LImpl {
 	if len(buf) == 0 {
 		return buf[:0]

@@ -49,7 +49,7 @@ func FuzzMinimaLAgainstBrute(f *testing.F) {
 			t.Fatalf("seed=%d n=%d span=%d: fast %d impls, brute %d", seed, n, span, len(fast), len(slow))
 		}
 		// The owning variant must agree element-for-element (it is the one
-		// the combine arena path runs).
+		// the combine stage runs on its pooled buffers).
 		buf := make([]LImpl, len(in))
 		copy(buf, in)
 		inPlace := MinimaLInPlace(buf)

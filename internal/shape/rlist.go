@@ -50,7 +50,7 @@ func newRListUnchecked(candidates []RImpl) RList {
 
 // MinimaRInPlace is R-list construction taking ownership of buf: it sorts
 // and compacts buf, returning the canonical list as a prefix sharing buf's
-// backing array. The combine stage uses it to prune arena-backed candidate
+// backing array. The combine stage uses it to prune its pooled candidate
 // buffers without copying them out.
 func MinimaRInPlace(buf []RImpl) RList {
 	if len(buf) == 0 {

@@ -15,7 +15,7 @@
 // property PR 1's postorder stats merge gives the optimizer's Stats. The
 // Report therefore splits into a deterministic section (bit-identical for
 // any worker count on a successful run) and a Runtime section (wall times,
-// spans, pool and CAS churn) that legitimately varies between runs;
+// spans, pool churn) that legitimately varies between runs;
 // Report.Canonical strips the latter for diffing.
 package telemetry
 
@@ -40,7 +40,6 @@ const (
 	CtrLSelections                      // L_Selection invocations
 	CtrRSelectionError                  // total staircase area admitted by R_Selection
 	CtrLSelectionError                  // total distance error admitted by L_Selection
-	CtrMemDenials                       // memtrack admissions rejected at the limit
 
 	// Annealer: topology search moves.
 	CtrMovesProposed
@@ -55,11 +54,10 @@ const (
 	CtrGenImpls
 
 	// Runtime-only counters: nondeterministic across runs or worker counts.
-	CtrMemCASRetries // failed CAS attempts in the memory tracker
-	CtrCSPPSolves    // CSPP DP solves
-	CtrCSPPPoolHits  // DP table pool reuses (capacity already sufficient)
-	CtrCSPPPoolMiss  // DP table pool misses (fresh allocation)
-	CtrBatchWaste    // speculative anneal candidates evaluated then discarded
+	CtrCSPPSolves   // CSPP DP solves
+	CtrCSPPPoolHits // DP table pool reuses (capacity already sufficient)
+	CtrCSPPPoolMiss // DP table pool misses (fresh allocation)
+	CtrBatchWaste   // speculative anneal candidates evaluated then discarded
 
 	// Serving layer: cross-request cache and request-queue churn. All
 	// runtime-only — hit rates and shedding depend on request arrival
@@ -110,7 +108,6 @@ const (
 	MaxLSet                        // largest L-shaped set stored
 	MaxCSPPN                       // largest CSPP instance size n
 	MaxCSPPK                       // largest CSPP path length k
-	MaxArenaBytes                  // peak combine-arena slab bytes charged
 
 	// Runtime-only watermarks: high-water marks of serving-layer state.
 	MaxServeQueue      // deepest optimize-request queue observed
@@ -178,14 +175,12 @@ var counterMeta = [numCounters]metricMeta{
 	CtrLSelections:           {name: "optimizer.l_selections", help: "L_Selection invocations."},
 	CtrRSelectionError:       {name: "optimizer.r_selection_error", help: "Total staircase area admitted by R_Selection."},
 	CtrLSelectionError:       {name: "optimizer.l_selection_error", help: "Total distance error admitted by L_Selection."},
-	CtrMemDenials:            {name: "memtrack.denials", help: "Memory-tracker admissions rejected at the limit."},
 	CtrMovesProposed:         {name: "anneal.proposed", help: "Topology moves proposed by the annealer."},
 	CtrMovesAccepted:         {name: "anneal.accepted", help: "Topology moves accepted by the annealer."},
 	CtrMovesImproved:         {name: "anneal.improved", help: "Accepted moves that improved the best area."},
 	CtrCells:                 {name: "tables.cells", help: "Paper-table grid cells run (one optimization each)."},
 	CtrGenModules:            {name: "gen.modules", help: "Modules synthesized by the workload generator."},
 	CtrGenImpls:              {name: "gen.impls", help: "Implementations synthesized by the workload generator."},
-	CtrMemCASRetries:         {name: "memtrack.cas_retries", help: "Failed CAS attempts in the memory tracker.", runtime: true},
 	CtrCSPPSolves:            {name: "cspp.solves", help: "Constrained-shortest-path DP solves.", runtime: true},
 	CtrCSPPPoolHits:          {name: "cspp.pool_hits", help: "CSPP DP table pool reuses.", runtime: true},
 	CtrCSPPPoolMiss:          {name: "cspp.pool_misses", help: "CSPP DP table pool misses (fresh allocations).", runtime: true},
@@ -220,7 +215,6 @@ var watermarkMeta = [numWatermarks]metricMeta{
 	MaxLSet:            {name: "optimizer.max_lset", help: "Largest L-shaped implementation set stored."},
 	MaxCSPPN:           {name: "cspp.max_n", help: "Largest CSPP instance size n."},
 	MaxCSPPK:           {name: "cspp.max_k", help: "Largest CSPP path length k."},
-	MaxArenaBytes:      {name: "arena.slab_bytes_peak", help: "Peak combine-arena slab bytes charged across all workers.", runtime: true},
 	MaxServeQueue:      {name: "server.queue_peak", help: "Deepest optimize-request queue observed.", runtime: true},
 	MaxServeInFlight:   {name: "server.inflight_peak", help: "Most requests evaluating concurrently.", runtime: true},
 	MaxCacheBytes:      {name: "cache.bytes_peak", help: "Largest result-cache byte footprint observed.", runtime: true},

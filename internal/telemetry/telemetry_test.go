@@ -154,7 +154,7 @@ func TestMergeSpansAndTracks(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	c := New()
 	c.Add(CtrGenerated, 123)
-	c.Add(CtrMemCASRetries, 4)
+	c.Add(CtrCSPPSolves, 4)
 	c.Observe(MaxPeakStored, 99)
 	c.Record(HistListBefore, 5)
 	c.Record(HistNodeEvalNs, 1500)
@@ -177,7 +177,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if back.Counters["optimizer.generated"] != 123 {
 		t.Fatalf("counters = %v", back.Counters)
 	}
-	if back.Runtime.Counters["memtrack.cas_retries"] != 4 {
+	if back.Runtime.Counters["cspp.solves"] != 4 {
 		t.Fatalf("runtime counters = %v", back.Runtime.Counters)
 	}
 	if _, err := ParseReport([]byte(`{"schema":"bogus/v9"}`)); err == nil {
