@@ -2,14 +2,15 @@
 # test suite under the race detector (the parallel evaluator, annealer and
 # table grid are all exercised concurrently by their tests), focused race
 # passes over the telemetry collector, the shared LRU, the pooled combine
-# buffers and the serving path, the observability goldens, the benchmark
+# buffers and the serving path, the observability goldens, a short fuzzing
+# pass over the dominance kernel and the L-block operations, the benchmark
 # module's vet and tests, and the serve, load and cluster smokes.
 # Performance is measured by the benchmark in bench/ (see bench/README.md),
 # not by make.
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-report bench-module race-combine serve-smoke load-smoke cluster-smoke race-serve obs-check check
+.PHONY: all build test race vet bench bench-report bench-module race-combine fuzz-smoke serve-smoke load-smoke cluster-smoke race-serve obs-check check
 
 all: build
 
@@ -57,6 +58,14 @@ race-combine:
 	$(GO) test -race -count=2 ./internal/combine/
 	$(GO) test -race -run 'TestWorkersBitIdentical|TestMemoryLimitWorkersAgree' ./internal/optimizer/
 
+# fuzz-smoke fuzzes for 10 s each, beyond the seed corpora `go test` runs:
+# the 4-d minima kernel against its quadratic oracle, and the four L-block
+# operations against the pruned full cross products of their candidate
+# formulas. A failing input is written under the package's testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzMinimaLAgainstBrute$$' -fuzztime 10s ./internal/shape/
+	$(GO) test -run '^$$' -fuzz '^FuzzLBlockOpsAgainstCrossProduct$$' -fuzztime 10s ./internal/combine/
+
 # serve-smoke boots fpserve on a random port and drives it through the
 # HTTP API with `fpbench -server` (health check, a concurrent burst that
 # must report the "coalesced" disposition, cache hit-rate and byte-identity
@@ -95,5 +104,5 @@ obs-check:
 	$(GO) test ./internal/reqid/... ./internal/slogx/...
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-check: vet race obs-check race-serve race-combine bench-module load-smoke cluster-smoke
+check: vet race obs-check race-serve race-combine fuzz-smoke bench-module load-smoke cluster-smoke
 	$(GO) test -race ./internal/telemetry/... ./internal/cache/...

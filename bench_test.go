@@ -209,6 +209,7 @@ func BenchmarkMinimaL(b *testing.B) {
 		h2 := 1 + rng.Int63n(300)
 		in[i] = shape.LImpl{W1: w2 + rng.Int63n(300), W2: w2, H1: h2 + rng.Int63n(300), H2: h2}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shape.MinimaL(in)

@@ -25,15 +25,18 @@
 // absorbed by the boundary basic rectangles — these max/sum formulas are
 // exact, and because they are monotone in every input coordinate, combining
 // only the operands' non-redundant implementations and pruning the
-// candidates yields exactly the union's non-redundant set. DAC'90 generates
-// a narrower candidate set as a constant-factor speedup; the resulting
-// lists are identical.
+// candidates yields exactly the union's non-redundant set. Like DAC'90,
+// which generates a narrower candidate set than the cross product, the
+// L-block operations emit per operand list only the pairs that no other
+// pair of that list makes redundant (the row cursors below state the
+// rules); the resulting lists are identical.
 //
 // # Allocation
 //
-// The L-block cross products build one large transient candidate buffer per
-// call, pruned in place (shape.MinimaLInPlace / MinimaRInPlace) and
-// partitioned into the retained result at the end. The buffers are kernel
+// The L-block operations build one transient candidate buffer per call,
+// sized to exactly the candidates they emit, pruned in place
+// (shape.MinimaLInPlace / MinimaRInPlace) and partitioned into the retained
+// result at the end. The buffers are kernel
 // scratch, recycled through a sync.Pool like shape's prune scratch and
 // cspp's DP tables. Results never alias them (shape.LSetFromMinimal builds
 // exact-capacity chains, Close clones), so one pool serves every goroutine
@@ -41,7 +44,6 @@
 package combine
 
 import (
-	"sort"
 	"sync"
 
 	"floorplan/internal/shape"
@@ -189,8 +191,8 @@ func mergeH(a, b shape.RList) shape.RList {
 	return out
 }
 
-// lBufs and rBufs recycle the candidate buffers of the L-block cross
-// products. Each call takes one, fills and prunes it, copies its result out
+// lBufs and rBufs recycle the candidate buffers of the L-block
+// operations. Each call takes one, fills and prunes it, copies its result out
 // and puts it back.
 var (
 	lBufs = sync.Pool{New: func() any { return new([]shape.LImpl) }}
@@ -206,21 +208,24 @@ func getBuf[T any](pool *sync.Pool, n int) *[]T {
 	return p
 }
 
-// candidateChunk bounds the transient candidate buffer during L-block cross
-// products: the buffer is Pareto-pruned whenever it exceeds this size, so
+// candidateChunk bounds the transient candidate buffer of an L-block
+// operation: the buffer is Pareto-pruned whenever it exceeds this size, so
 // peak transient memory stays bounded even when operand lists are huge
 // (pruning is idempotent and composable: minima(minima(A) ∪ B) =
 // minima(A ∪ B)).
 const candidateChunk = 1 << 21
 
-// budgeter carries the optional early-abort budget through a cross-product
-// generation. When budget > 0 and a *pruned* candidate buffer alone already
-// exceeds it, generating the rest of the block is pointless: the caller's
-// memory limit is guaranteed to be exceeded (a later prune can only shrink
-// the buffer below budget if stronger dominators appear, which the abort
-// deliberately forgoes — this mirrors the paper machine running out of
-// memory mid-generation rather than after it). A negative budget is the
-// exhausted sentinel: the combination aborts before generating anything.
+// budgeter carries the early-abort budget (>= 0; 0 is unlimited) through a
+// cross-product generation. When budget > 0 and a *pruned* candidate buffer
+// alone already exceeds it, generating the rest of the block is pointless:
+// the caller's memory limit is guaranteed to be exceeded (a later prune can
+// only shrink the buffer below budget if stronger dominators appear, which
+// the abort deliberately forgoes — this mirrors the paper machine running
+// out of memory mid-generation rather than after it). The buffer is pruned
+// only when it crosses the chunk size, so where an abort strikes, and the
+// count a failing run reports, depend on how many candidates a block emits:
+// emitting fewer can raise the reported count. Whether the full set fits
+// is decided by the final, exact prune either way.
 type budgeter struct {
 	budget    int
 	chunk     int
@@ -228,32 +233,20 @@ type budgeter struct {
 }
 
 func newBudgeter(budget int) *budgeter {
-	if budget < 0 {
-		return &budgeter{budget: budget, chunk: 1, truncated: true}
-	}
 	chunk := candidateChunk
 	if budget > 0 && budget*4 < chunk {
-		chunk = budget * 4
-		if chunk < 4096 {
-			chunk = 4096
-		}
+		chunk = max(budget*4, 4096)
 	}
 	return &budgeter{budget: budget, chunk: chunk}
 }
 
-// lCap sizes a candidate buffer for a cross product of the given operand
-// cardinalities: the exact product when it is small, else the prune
-// threshold plus one inner row of margin (the buffer is pruned back below
-// chunk after each inner row, so it can overshoot by at most one row —
-// sizing for that keeps a pooled buffer from regrowing mid-call).
-func (bg *budgeter) lCap(a, b int) int {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	if a > bg.chunk/b {
-		return bg.chunk + b
-	}
-	return a * b
+// lCap sizes a candidate buffer for a generation of total candidates
+// emitted at most row at a time: total when it is below the prune
+// threshold, else the threshold plus one row of margin (the buffer is
+// pruned back below chunk after each row, so it can overshoot by at most
+// one row — sizing for that keeps a pooled buffer from regrowing mid-call).
+func (bg *budgeter) lCap(total, row int) int {
+	return min(total, bg.chunk+row)
 }
 
 // pruneL prunes buf in place (the returned slice shares its backing array)
@@ -280,20 +273,109 @@ func (bg *budgeter) pruneR(buf []shape.RImpl, force bool) []shape.RImpl {
 	return buf
 }
 
-// LStack combines the SW and NW rectangular blocks into the pinwheel's
-// first L-shaped partial block. budget > 0 enables early abort: when the
-// non-redundant set provably exceeds it, generation stops and truncated is
-// true (the partial set is returned for accounting).
-func LStack(bottom, top shape.RList, budget int) (result shape.LSet, truncated bool) {
-	bg := newBudgeter(budget)
-	if bg.truncated {
-		return shape.LSet{}, true
+// Each L-block operation below emits, per row — one implementation of its
+// L-list operand, or for LStack one top block — a contiguous run of its
+// R-list operand: the pairs that no other pair from the same list (for
+// LStack, the same row) makes redundant. Every pair it skips yields a
+// candidate componentwise >= one it emits, so pruning the emitted
+// candidates yields the same set as pruning the full cross product. Lists are canonical: W2 is constant, W1
+// falls and H1, H2 rise down an L-list; W falls and H rises down an R-list.
+// A cursor per list computes the runs with pointers that only move
+// forward. Each operation walks its rows twice, once to size the candidate
+// buffer exactly and once to fill it.
+
+// stackCursor walks LStack's rows. A row is one top block b, so its
+// candidates share W2 = b.W. Bottom blocks wider than b give an antichain
+// (W1 = a.W falls as the heights rise); for the rest W1 clamps at b.W while
+// the heights rise, so the first of them is <= the others.
+type stackCursor struct{ k int } // first bottom block no wider than b
+
+// run returns the end of b's run bottom[:to]. Tops narrow down their list,
+// so the first fitting bottom only moves forward.
+func (cur *stackCursor) run(bottom shape.RList, b shape.RImpl) (to int) {
+	for cur.k < len(bottom) && bottom[cur.k].W > b.W {
+		cur.k++
 	}
-	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(len(bottom), len(top)))
+	return min(cur.k+1, len(bottom))
+}
+
+// overhangCursor walks the rows of one L-list for LNotch and Close. Once
+// the block c fits beside the top slab (W2+c.W <= W1), the width clamps at
+// li.W1 while the height grows down c: li's first fitting c is <= li's
+// later ones. While c overhangs the slab, the width is W2+c.W and the
+// heights grow down the list: the first li that c overhangs is <= the
+// later ones.
+type overhangCursor struct{ k int } // first c not overhanging the last li
+
+// run returns li's run c[from:to]: the c's that overhang li but no earlier
+// li, then li's first fitting c. W1 falls down the list, so the first
+// fitting c only moves forward.
+func (cur *overhangCursor) run(c shape.RList, li shape.LImpl) (from, to int) {
+	from = cur.k
+	for cur.k < len(c) && li.W2+c[cur.k].W > li.W1 {
+		cur.k++
+	}
+	return from, min(cur.k+1, len(c))
+}
+
+// overhangTotal counts the candidates LNotch and Close emit.
+func overhangTotal(l shape.LSet, c shape.RList) int {
+	total := 0
+	for _, list := range l.Lists {
+		var cur overhangCursor
+		for _, li := range list {
+			from, to := cur.run(c, li)
+			total += to - from
+		}
+	}
+	return total
+}
+
+// bottomCursor walks the rows of one L-list for LBottom. SE blocks no
+// taller than the bottom slab (c.H <= H2) hide behind it: (H1, H2) stay and
+// W1 = W1+c.W, so li's last such c (the narrowest) is <= li's others.
+// Blocks at least as tall as the left edge (c.H >= H1) set both heights to
+// c.H, so c's last such li (the narrowest) is <= c's others. Blocks in
+// between (H2 < c.H < H1) give a candidate per pair.
+type bottomCursor struct {
+	hidden int // first c taller than li.H2
+	reach  int // first c reaching the next li's H1
+}
+
+// run returns the run c[from:to] of list[i]: from its last hidden c up to,
+// not including, the first c that reaches the next li's H1. H1 and H2 rise
+// down the list, so both pointers only move forward.
+func (cur *bottomCursor) run(c shape.RList, list shape.LList, i int) (from, to int) {
+	for cur.hidden < len(c) && c[cur.hidden].H <= list[i].H2 {
+		cur.hidden++
+	}
+	end := len(c)
+	if i+1 < len(list) {
+		for cur.reach < len(c) && c[cur.reach].H < list[i+1].H1 {
+			cur.reach++
+		}
+		end = cur.reach
+	}
+	return max(cur.hidden-1, 0), max(end, cur.hidden)
+}
+
+// LStack combines the SW and NW rectangular blocks into the pinwheel's
+// first L-shaped partial block. budget >= 0; a positive budget enables
+// early abort: when the non-redundant set provably exceeds it, generation
+// stops and truncated is true (the partial set is returned for accounting).
+func LStack(bottom, top shape.RList, budget int) (result shape.LSet, truncated bool) {
+	total := 0
+	var cur stackCursor
+	for _, b := range top {
+		total += cur.run(bottom, b)
+	}
+	bg := newBudgeter(budget)
+	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(total, len(bottom)))
 	defer lBufs.Put(bp)
 	buf := (*bp)[:0]
-	for _, a := range bottom {
-		for _, b := range top {
+	cur = stackCursor{}
+	for _, b := range top {
+		for _, a := range bottom[:cur.run(bottom, b)] {
 			buf = append(buf, StackCand(a, b))
 		}
 		if buf = bg.pruneL(buf, false); bg.truncated {
@@ -304,26 +386,20 @@ func LStack(bottom, top shape.RList, budget int) (result shape.LSet, truncated b
 	return shape.LSetFromMinimal(buf), bg.truncated
 }
 
-// LNotch grows an L-shaped block by the center block.
+// LNotch grows an L-shaped block by the center block. budget is as for
+// LStack.
 func LNotch(l shape.LSet, c shape.RList, budget int) (result shape.LSet, truncated bool) {
+	total := overhangTotal(l, c)
 	bg := newBudgeter(budget)
-	if bg.truncated {
-		return shape.LSet{}, true
-	}
-	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(l.Size(), len(c)))
+	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(total, len(c)))
 	defer lBufs.Put(bp)
 	buf := (*bp)[:0]
 	for _, list := range l.Lists {
+		var cur overhangCursor
 		for _, li := range list {
-			for _, ci := range c {
+			from, to := cur.run(c, li)
+			for _, ci := range c[from:to] {
 				buf = append(buf, NotchCand(li, ci))
-				// Once the notch column fits under the bottom slab
-				// (W2+c.W <= W1), W1 stays clamped while H2 = H2+c.H keeps
-				// growing down the canonical list: this candidate
-				// dominates the rest of the row.
-				if li.W2+ci.W <= li.W1 {
-					break
-				}
 			}
 			if buf = bg.pruneL(buf, false); bg.truncated {
 				return shape.LSetFromMinimal(buf), true
@@ -334,26 +410,25 @@ func LNotch(l shape.LSet, c shape.RList, budget int) (result shape.LSet, truncat
 	return shape.LSetFromMinimal(buf), bg.truncated
 }
 
-// LBottom grows an L-shaped block by the SE block.
+// LBottom grows an L-shaped block by the SE block. budget is as for LStack.
 func LBottom(l shape.LSet, c shape.RList, budget int) (result shape.LSet, truncated bool) {
-	bg := newBudgeter(budget)
-	if bg.truncated {
-		return shape.LSet{}, true
+	total := 0
+	for _, list := range l.Lists {
+		var cur bottomCursor
+		for i := range list {
+			from, to := cur.run(c, list, i)
+			total += to - from
+		}
 	}
-	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(l.Size(), len(c)))
+	bg := newBudgeter(budget)
+	bp := getBuf[shape.LImpl](&lBufs, bg.lCap(total, len(c)))
 	defer lBufs.Put(bp)
 	buf := (*bp)[:0]
 	for _, list := range l.Lists {
-		for _, li := range list {
-			// SE blocks shorter than the bottom slab (c.H <= H2) disappear
-			// behind it: those candidates share (H1, H2) and differ only in
-			// W1 = W1+c.W, so the last of the run (smallest c.W) dominates
-			// the others. Skip straight to it.
-			idx := sort.Search(len(c), func(i int) bool { return c[i].H > li.H2 })
-			if idx > 0 {
-				buf = append(buf, BottomCand(li, c[idx-1]))
-			}
-			for _, ci := range c[idx:] {
+		var cur bottomCursor
+		for i, li := range list {
+			from, to := cur.run(c, list, i)
+			for _, ci := range c[from:to] {
 				buf = append(buf, BottomCand(li, ci))
 			}
 			if buf = bg.pruneL(buf, false); bg.truncated {
@@ -366,32 +441,20 @@ func LBottom(l shape.LSet, c shape.RList, budget int) (result shape.LSet, trunca
 }
 
 // Close completes the pinwheel with the NE block, yielding a rectangular
-// block's R-list. The result is a fresh exact-size copy: the optimizer
-// retains it, so it must not alias the pooled buffer.
+// block's R-list. budget is as for LStack. The result is a fresh exact-size
+// copy: the optimizer retains it, so it must not alias the pooled buffer.
 func Close(l shape.LSet, c shape.RList, budget int) (result shape.RList, truncated bool) {
+	total := overhangTotal(l, c)
 	bg := newBudgeter(budget)
-	if bg.truncated {
-		return nil, true
-	}
-	bp := getBuf[shape.RImpl](&rBufs, bg.lCap(l.Size(), len(c)))
+	bp := getBuf[shape.RImpl](&rBufs, bg.lCap(total, len(c)))
 	defer rBufs.Put(bp)
 	buf := (*bp)[:0]
 	for _, list := range l.Lists {
+		var cur overhangCursor
 		for _, li := range list {
-			// NE blocks shorter than the notch (H2+c.H <= H1) all close to
-			// height H1 and differ only in width, so the last of that run
-			// dominates the others; and once the block fits the notch
-			// horizontally (W2+c.W <= W1) the width clamps at W1 while the
-			// height keeps growing — that candidate dominates the rest.
-			idx := sort.Search(len(c), func(i int) bool { return li.H2+c[i].H > li.H1 })
-			if idx > 0 {
-				buf = append(buf, CloseCand(li, c[idx-1]))
-			}
-			for _, ci := range c[idx:] {
+			from, to := cur.run(c, li)
+			for _, ci := range c[from:to] {
 				buf = append(buf, CloseCand(li, ci))
-				if li.W2+ci.W <= li.W1 {
-					break
-				}
 			}
 			if buf = bg.pruneR(buf, false); bg.truncated {
 				return shape.RList(buf).Clone(), true

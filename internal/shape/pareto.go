@@ -5,10 +5,17 @@ import "slices"
 // This file implements Pareto-minima pruning: from a candidate set, keep
 // exactly the implementations not dominated by (componentwise >=) another.
 // The optimizer calls this on every combine step, and unpruned candidate
-// sets at high tree levels reach 10^5 entries, so the 3-d and 4-d cases use
-// the classic divide-and-conquer of Kung/Luccio/Preparata with a Fenwick
+// sets at high tree levels reach 10^5 entries, so the 4-d case uses the
+// classic divide-and-conquer of Kung/Luccio/Preparata with a Fenwick
 // prefix-min sweep for the cross-half filter, giving O(n log^2 n) instead of
 // the quadratic pairwise scan (which remains as the test oracle).
+//
+// The L kernel orders candidates by (W2, W1, H1, H2) and splits on W2 first.
+// Every L-block combine copies W2 from an operand implementation, so a
+// candidate set holds at most as many W2 values as the operands have
+// L-lists (or top blocks): the W2 recursion is shallow, and each single-W2
+// subproblem is a contiguous run already in (W1, H1, H2) order, pruned by
+// one Fenwick sweep without copying or re-sorting its points.
 //
 // The kernels are written against the structure-of-arrays scratch in soa.go:
 // the sweeps sort (key, index) pairs and rank plain int64 columns with
@@ -45,26 +52,6 @@ func (f *minFenwick) prefixMin(i int) int64 {
 	return m
 }
 
-// point3 is a point in the 3-dimensional dominance order with a tag
-// carrying it back to the caller's slice.
-type point3 struct {
-	a, b, c int64
-	idx     int32
-}
-
-func cmpPoint3(p, q point3) int {
-	switch {
-	case p.a != q.a:
-		return cmpInt64(p.a, q.a)
-	case p.b != q.b:
-		return cmpInt64(p.b, q.b)
-	case p.c != q.c:
-		return cmpInt64(p.c, q.c)
-	default:
-		return int(p.idx) - int(q.idx)
-	}
-}
-
 func cmpInt64(a, b int64) int {
 	switch {
 	case a < b:
@@ -83,34 +70,34 @@ func cmpKeyIdx(a, b keyIdx) int {
 	return int(a.idx) - int(b.idx)
 }
 
-// minima3 marks, in keep, the indices of the Pareto-minimal points: those
-// with no other point <= them componentwise (exact duplicates keep their
-// first occurrence). pts may be in any order and is reordered in place.
-func minima3(pts []point3, keep []bool, s *pruneScratch) {
-	slices.SortFunc(pts, cmpPoint3)
-	// Rank the b coordinates over the distinct values present.
-	vals := s.valRun(len(pts))
-	for _, p := range pts {
-		vals = append(vals, p.b)
+// minima3 marks, in keep, the Pareto-minimal points among all[i] for i in
+// idx, a sorted run sharing one W2 value and holding no duplicates. The run
+// is in (W1, H1, H2) order, so every point that can dominate p precedes it:
+// a Fenwick tree over the H1 ranks, holding the least H2 kept so far,
+// decides each point in one pass.
+func minima3(all []LImpl, idx []int32, keep []bool, s *pruneScratch) {
+	vals := s.valRun(len(idx))
+	for _, id := range idx {
+		vals = append(vals, all[id].H1)
 	}
 	slices.Sort(vals)
 	uniq := dedupSorted(vals)
 	fw := minFenwick{tree: s.fenwickRun(len(uniq))}
-	for _, p := range pts {
-		r := rankOf(uniq, p.b)
-		// Every point inserted so far sorts lexicographically before p, so
-		// it has a <= p.a (ties broken consistently); p is redundant iff one
-		// of them also has b <= p.b and c <= p.c.
-		if fw.prefixMin(r) <= p.c {
+	for _, id := range idx {
+		p := all[id]
+		r := rankOf(uniq, p.H1)
+		// Every point inserted so far has W1 <= p.W1; p is redundant iff one
+		// of them also has H1 <= p.H1 and H2 <= p.H2.
+		if fw.prefixMin(r) <= p.H2 {
 			continue
 		}
-		keep[p.idx] = true
-		fw.update(r, p.c)
+		keep[id] = true
+		fw.update(r, p.H2)
 	}
 }
 
 // MinimaL returns the Pareto-minimal subset of 4-d L-shaped candidates,
-// deduplicated, in lexicographic order. Candidates are not modified.
+// deduplicated, in (W2, W1, H1, H2) order. Candidates are not modified.
 func MinimaL(candidates []LImpl) []LImpl {
 	if len(candidates) == 0 {
 		return nil
@@ -129,7 +116,7 @@ func MinimaL(candidates []LImpl) []LImpl {
 }
 
 // MinimaLInPlace is MinimaL taking ownership of buf: it sorts and compacts
-// buf, returning the minimal, deduplicated, lexicographically ordered prefix
+// buf, returning the minimal, deduplicated, (W2, W1, H1, H2)-ordered prefix
 // (sharing buf's backing array). The combine stage uses it to prune its
 // pooled candidate buffers without copying them out.
 func MinimaLInPlace(buf []LImpl) []LImpl {
@@ -142,7 +129,7 @@ func MinimaLInPlace(buf []LImpl) []LImpl {
 	return out
 }
 
-// minimaLSorted sorts buf lexicographically, deduplicates it, prunes
+// minimaLSorted sorts buf by (W2, W1, H1, H2), deduplicates it, prunes
 // dominated entries, and compacts the survivors into buf's prefix, which it
 // returns.
 func minimaLSorted(buf []LImpl, s *pruneScratch) []LImpl {
@@ -165,12 +152,14 @@ func minimaLSorted(buf []LImpl, s *pruneScratch) []LImpl {
 	return out
 }
 
+// cmpLImpl orders implementations by (W2, W1, H1, H2), the kernel order:
+// equal W2 values form contiguous runs, each in (W1, H1, H2) order.
 func cmpLImpl(p, q LImpl) int {
 	switch {
-	case p.W1 != q.W1:
-		return cmpInt64(p.W1, q.W1)
 	case p.W2 != q.W2:
 		return cmpInt64(p.W2, q.W2)
+	case p.W1 != q.W1:
+		return cmpInt64(p.W1, q.W1)
 	case p.H1 != q.H1:
 		return cmpInt64(p.H1, q.H1)
 	default:
@@ -183,68 +172,63 @@ func sortLImpls(pts []LImpl) {
 }
 
 // minima4SmallCutoff is the subproblem size below which the quadratic scan
-// beats the divide-and-conquer bookkeeping. The brute kernel deliberately
-// stays on the array-of-structs layout: it compares all four coordinates of
-// element pairs, the one access pattern AoS serves better than columns.
+// beats the divide-and-conquer bookkeeping on a subproblem holding several
+// W2 values. The brute kernel deliberately stays on the array-of-structs
+// layout: it compares all four coordinates of element pairs, the one access
+// pattern AoS serves better than columns.
 const minima4SmallCutoff = 48
 
 // minima4 marks the Pareto-minimal points among all[i] for i in idx.
-// all must be sorted lexicographically with no duplicates; idx is a sorted
-// (hence W1-nondecreasing) index subset.
+// all must be sorted by (W2, W1, H1, H2) with no duplicates; idx is a sorted
+// (hence W2-nondecreasing) index subset.
 func minima4(all []LImpl, idx []int32, keep []bool, s *pruneScratch) {
 	if len(idx) == 0 {
+		return
+	}
+	if all[idx[0]].W2 == all[idx[len(idx)-1]].W2 {
+		// One W2 value: dominance degenerates to 3-d on (W1, H1, H2).
+		minima3(all, idx, keep, s)
 		return
 	}
 	if len(idx) <= minima4SmallCutoff {
 		minima4Brute(all, idx, keep)
 		return
 	}
-	// Split on W1 so every low point has W1 <= every high point and equal
-	// W1 values stay together.
-	midVal := all[idx[len(idx)/2]].W1
-	if all[idx[0]].W1 == all[idx[len(idx)-1]].W1 {
-		// One W1 value: dominance degenerates to 3-d on (W2, H1, H2).
-		pts := s.ptsRun(len(idx))
-		for _, id := range idx {
-			p := all[id]
-			pts = append(pts, point3{a: p.W2, b: p.H1, c: p.H2, idx: id})
-		}
-		minima3(pts, keep, s)
-		return
-	}
-	split := searchW1(all, idx, midVal, false)
+	// Split on W2 so every low point has W2 < every high point.
+	midVal := all[idx[len(idx)/2]].W2
+	split := searchW2(all, idx, midVal, false)
 	if split == len(idx) {
-		// midVal is the maximum W1; split just below it instead.
-		split = searchW1(all, idx, midVal, true)
+		// midVal is the maximum W2; split just below it instead.
+		split = searchW2(all, idx, midVal, true)
 	}
 	lo, hi := idx[:split], idx[split:]
 	minima4(all, lo, keep, s)
 	minima4(all, hi, keep, s)
 	// A high survivor is still redundant if some low survivor is <= it in
-	// the remaining three dimensions (its W1 is <= automatically). Collect
-	// the survivors as (W2, index) sort pairs for the cross-half filter.
+	// the remaining three dimensions (its W2 is < automatically). Collect
+	// the survivors as (W1, index) sort pairs for the cross-half filter.
 	pairs := s.pairRun(len(idx))
 	for _, id := range lo {
 		if keep[id] {
-			pairs = append(pairs, keyIdx{key: all[id].W2, idx: id})
+			pairs = append(pairs, keyIdx{key: all[id].W1, idx: id})
 		}
 	}
 	nLo := len(pairs)
 	for _, id := range hi {
 		if keep[id] {
-			pairs = append(pairs, keyIdx{key: all[id].W2, idx: id})
+			pairs = append(pairs, keyIdx{key: all[id].W1, idx: id})
 		}
 	}
 	filterDominated3(all, pairs[:nLo], pairs[nLo:], keep, s)
 }
 
-// searchW1 returns the first position i in idx with all[idx[i]].W1 > v
+// searchW2 returns the first position i in idx with all[idx[i]].W2 > v
 // (orEq false) or >= v (orEq true).
-func searchW1(all []LImpl, idx []int32, v int64, orEq bool) int {
+func searchW2(all []LImpl, idx []int32, v int64, orEq bool) int {
 	lo, hi := 0, len(idx)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		w := all[idx[mid]].W1
+		w := all[idx[mid]].W2
 		if w > v || (orEq && w == v) {
 			hi = mid
 		} else {
@@ -274,9 +258,9 @@ func minima4Brute(all []LImpl, idx []int32, keep []bool) {
 	}
 }
 
-// filterDominated3 clears keep for high points dominated in (W2, H1, H2) by
-// some low point. Low points all have W1 <= every high point's W1. lo and hi
-// carry each point's W2 as the sort key and are reordered in place.
+// filterDominated3 clears keep for high points dominated in (W1, H1, H2) by
+// some low point. Low points all have W2 < every high point's W2. lo and hi
+// carry each point's W1 as the sort key and are reordered in place.
 func filterDominated3(all []LImpl, lo, hi []keyIdx, keep []bool, s *pruneScratch) {
 	if len(lo) == 0 || len(hi) == 0 {
 		return

@@ -7,7 +7,7 @@ import (
 
 // tieHeavyLImpls draws every coordinate from a tiny value set so exact
 // duplicates, partial ties, and mutual-domination chains are all dense —
-// the adversarial regime for the divide-and-conquer's equal-W1 degenerate
+// the adversarial regime for the divide-and-conquer's single-W2 sweep
 // branch and the Fenwick tie handling (prefixMin <= vs <).
 func tieHeavyLImpls(rng *rand.Rand, n int, span int64) []LImpl {
 	out := make([]LImpl, 0, n)
@@ -34,7 +34,7 @@ func FuzzMinimaLAgainstBrute(f *testing.F) {
 	f.Add(int64(1), uint16(8), uint8(1))
 	f.Add(int64(2), uint16(64), uint8(2))
 	f.Add(int64(3), uint16(200), uint8(3))  // > minima4SmallCutoff, dense ties
-	f.Add(int64(4), uint16(500), uint8(1))  // deep recursion, one W1 value likely
+	f.Add(int64(4), uint16(500), uint8(1))  // two W2 values: large single-W2 sweeps
 	f.Add(int64(5), uint16(300), uint8(40)) // sparse: mostly antichain
 	f.Add(int64(6), uint16(1000), uint8(5)) // large, several recursion levels
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, span uint8) {

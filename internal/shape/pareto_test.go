@@ -133,18 +133,23 @@ func TestMinFenwick(t *testing.T) {
 }
 
 func TestMinima3Direct(t *testing.T) {
-	pts := []point3{
-		{a: 1, b: 5, c: 5, idx: 0},
-		{a: 2, b: 4, c: 6, idx: 1},
-		{a: 2, b: 6, c: 6, idx: 2}, // dominated by idx 0? a=2>=1,b=6>=5,c=6>=5: yes
-		{a: 3, b: 3, c: 3, idx: 3},
-		{a: 3, b: 3, c: 3, idx: 4}, // duplicate of idx 3 (caller must dedup; here both kept order-dependently)
+	// One W2 value, already in (W1, H1, H2) order, as minima4 hands it over.
+	all := []LImpl{
+		{W1: 1, W2: 1, H1: 5, H2: 5},
+		{W1: 2, W2: 1, H1: 4, H2: 6},
+		{W1: 2, W2: 1, H1: 6, H2: 6}, // dominates idx 0: W1 2>=1, H1 6>=5, H2 6>=5
+		{W1: 3, W2: 1, H1: 3, H2: 3},
 	}
-	keep := make([]bool, 5)
-	// Dedup contract: minima3 assumes no duplicates; drop idx 4 for the test.
-	minima3(pts[:4], keep, new(pruneScratch))
+	keep := make([]bool, len(all))
+	minima3(all, []int32{0, 1, 2, 3}, keep, new(pruneScratch))
 	if !keep[0] || !keep[1] || keep[2] || !keep[3] {
 		t.Fatalf("keep = %v", keep)
+	}
+	// A sub-run: only the listed indices are decided, the others untouched.
+	keep = make([]bool, len(all))
+	minima3(all, []int32{2, 3}, keep, new(pruneScratch))
+	if keep[0] || keep[1] || !keep[2] || !keep[3] {
+		t.Fatalf("sub-run keep = %v", keep)
 	}
 }
 
@@ -165,23 +170,25 @@ func TestMinimaLPermutationInvariant(t *testing.T) {
 	}
 }
 
+// TestSortLImplsIsTotal pins the kernel order (W2, W1, H1, H2): minima4
+// relies on equal W2 values forming contiguous runs in (W1, H1, H2) order.
 func TestSortLImplsIsTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	in := randomLImpls(rng, 200, 5)
 	sortLImpls(in)
 	if !sort.SliceIsSorted(in, func(i, j int) bool {
 		a, b := in[i], in[j]
-		if a.W1 != b.W1 {
-			return a.W1 < b.W1
-		}
 		if a.W2 != b.W2 {
 			return a.W2 < b.W2
+		}
+		if a.W1 != b.W1 {
+			return a.W1 < b.W1
 		}
 		if a.H1 != b.H1 {
 			return a.H1 < b.H1
 		}
 		return a.H2 < b.H2
 	}) {
-		t.Fatal("sortLImpls did not produce lexicographic order")
+		t.Fatal("sortLImpls did not produce (W2, W1, H1, H2) order")
 	}
 }

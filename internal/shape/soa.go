@@ -33,7 +33,6 @@ type pruneScratch struct {
 	pairs []keyIdx // key/index sort buffer for the cross-half filters
 	vals  []int64  // rank-coordinate scratch (sorted, deduplicated)
 	fen   []int64  // Fenwick prefix-min storage
-	pts   []point3 // 3-d projection buffer for degenerate W1 groups
 }
 
 var pruneScratchPool = sync.Pool{New: func() any { return new(pruneScratch) }}
@@ -91,14 +90,6 @@ func (s *pruneScratch) fenwickRun(n int) []int64 {
 		s.fen[i] = fenwickInf
 	}
 	return s.fen
-}
-
-// ptsRun returns an empty point3 buffer with capacity n.
-func (s *pruneScratch) ptsRun(n int) []point3 {
-	if cap(s.pts) < n {
-		s.pts = make([]point3, 0, n)
-	}
-	return s.pts[:0]
 }
 
 // rankOf returns the 1-based rank of v among the sorted distinct values in
