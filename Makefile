@@ -3,8 +3,9 @@
 # table grid are all exercised concurrently by their tests), focused race
 # passes over the telemetry collector, the shared LRU, the pooled combine
 # buffers and the serving path, the observability goldens, a short fuzzing
-# pass over the dominance kernel and the L-block operations, the benchmark
-# module's vet and tests, and the serve, load and cluster smokes.
+# pass over the dominance kernel, the L-block operations and the one-pass
+# request decoder, the benchmark module's vet and tests, and the serve, load
+# and cluster smokes.
 # Performance is measured by the benchmark in bench/ (see bench/README.md),
 # not by make.
 
@@ -59,12 +60,19 @@ race-combine:
 	$(GO) test -race -run 'TestWorkersBitIdentical|TestMemoryLimitWorkersAgree' ./internal/optimizer/
 
 # fuzz-smoke fuzzes for 10 s each, beyond the seed corpora `go test` runs:
-# the 4-d minima kernel against its quadratic oracle, and the four L-block
+# the 4-d minima kernel against its quadratic oracle, the four L-block
 # operations against the pruned full cross products of their candidate
-# formulas. A failing input is written under the package's testdata/fuzz.
+# formulas, and the one-pass tree, library and request decoders against
+# encoding/json decoding the same bytes into method-free reference types.
+# Their corpora hold 20 KB deep-nesting seeds; minimizing each new input
+# grown from one would take most of the 10 s, so minimizing stops after 1 s.
+# A failing input is written under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimaLAgainstBrute$$' -fuzztime 10s ./internal/shape/
 	$(GO) test -run '^$$' -fuzz '^FuzzLBlockOpsAgainstCrossProduct$$' -fuzztime 10s ./internal/combine/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/plan/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLibrary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/plan/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
 
 # serve-smoke boots fpserve on a random port and drives it through the
 # HTTP API with `fpbench -server` (health check, a concurrent burst that

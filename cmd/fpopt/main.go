@@ -120,9 +120,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var lib floorplan.Library
-	if err := json.Unmarshal(libData, &lib); err != nil {
-		log.Fatalf("decoding library: %v", err)
+	lib, err := floorplan.ParseLibrary(libData)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if _, err := tf.Logger(); err != nil {

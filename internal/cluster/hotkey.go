@@ -90,24 +90,6 @@ func (t *hotTracker) Touch(k cache.Key) bool {
 	return len(t.scores) <= t.k || s.score >= t.threshold
 }
 
-// Hot reports whether key currently ranks in the top K, without counting a
-// hit.
-func (t *hotTracker) Hot(k cache.Key) bool {
-	if t == nil || t.k <= 0 {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.scores[k]
-	if s == nil {
-		return false
-	}
-	if len(t.scores) <= t.k {
-		return true
-	}
-	return s.score*decay(t.now().Sub(s.last), t.halfLife) >= t.threshold
-}
-
 // hotScoreFloor is the decayed score below which an entry is noise: a key
 // untouched for ten half-lives has kept under 0.1% of one hit's weight and
 // can never rank anywhere near the top K. Pruning at the floor keeps churn

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"floorplan/internal/cache"
 )
 
 // fakeClock is a controllable time source for the decay math.
@@ -24,6 +26,24 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// isHot reports whether key currently ranks in the top K, without counting
+// a hit.
+func isHot(t *hotTracker, k cache.Key) bool {
+	if t == nil || t.k <= 0 {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.scores[k]
+	if s == nil {
+		return false
+	}
+	if len(t.scores) <= t.k {
+		return true
+	}
+	return s.score*decay(t.now().Sub(s.last), t.halfLife) >= t.threshold
+}
+
 // TestHotTrackerTopK: with more distinct keys than K, only the most-hit
 // keys rank hot; a key hit once among heavy hitters does not.
 func TestHotTrackerTopK(t *testing.T) {
@@ -37,12 +57,12 @@ func TestHotTrackerTopK(t *testing.T) {
 		tr.Touch(testKey(1))
 		tr.Touch(testKey(2 + i%6))
 	}
-	if !tr.Hot(testKey(0)) || !tr.Hot(testKey(1)) {
+	if !isHot(tr, testKey(0)) || !isHot(tr, testKey(1)) {
 		t.Fatal("heavy hitters not hot")
 	}
 	hotCold := 0
 	for i := 2; i < 8; i++ {
-		if tr.Hot(testKey(i)) {
+		if isHot(tr, testKey(i)) {
 			hotCold++
 		}
 	}
@@ -61,10 +81,10 @@ func TestHotTrackerFewerThanK(t *testing.T) {
 	if !tr.Touch(testKey(1)) {
 		t.Fatal("first touched key not hot with k=32 and 1 tracked")
 	}
-	if !tr.Hot(testKey(1)) {
-		t.Fatal("Hot() disagrees with Touch()")
+	if !isHot(tr, testKey(1)) {
+		t.Fatal("isHot disagrees with Touch")
 	}
-	if tr.Hot(testKey(2)) {
+	if isHot(tr, testKey(2)) {
 		t.Fatal("never-touched key reported hot")
 	}
 }
@@ -83,10 +103,10 @@ func TestHotTrackerDecay(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tr.Touch(testKey(1))
 	}
-	if !tr.Hot(testKey(1)) {
+	if !isHot(tr, testKey(1)) {
 		t.Fatal("fresh heavy hitter not hot")
 	}
-	if tr.Hot(testKey(0)) {
+	if isHot(tr, testKey(0)) {
 		t.Fatal("key idle for 30 half-lives still hot")
 	}
 }
@@ -94,14 +114,14 @@ func TestHotTrackerDecay(t *testing.T) {
 // TestHotTrackerDisabled: k <= 0 disables tracking entirely.
 func TestHotTrackerDisabled(t *testing.T) {
 	tr := newHotTracker(0, time.Second, nil)
-	if tr.Touch(testKey(0)) || tr.Hot(testKey(0)) {
+	if tr.Touch(testKey(0)) || isHot(tr, testKey(0)) {
 		t.Fatal("disabled tracker marked a key hot")
 	}
 	if tr.tracked() != 0 {
 		t.Fatal("disabled tracker tracked a key")
 	}
 	var nilTr *hotTracker
-	if nilTr.Touch(testKey(0)) || nilTr.Hot(testKey(0)) || nilTr.tracked() != 0 {
+	if nilTr.Touch(testKey(0)) || isHot(nilTr, testKey(0)) || nilTr.tracked() != 0 {
 		t.Fatal("nil tracker not inert")
 	}
 }
@@ -130,12 +150,12 @@ func TestHotTrackerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				tr.Touch(testKey(i % (4 + g)))
-				tr.Hot(testKey(i % 16))
+				isHot(tr, testKey(i%16))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if !tr.Hot(testKey(0)) {
+	if !isHot(tr, testKey(0)) {
 		t.Fatal("most-shared key not hot after concurrent touches")
 	}
 }

@@ -51,8 +51,8 @@ func TestNodeStatsCoverTree(t *testing.T) {
 		}
 		total += int64(ns.Stored)
 	}
-	if lCount != bin.CountL() {
-		t.Fatalf("%d L nodes in stats, tree has %d", lCount, bin.CountL())
+	if lCount != countL(bin) {
+		t.Fatalf("%d L nodes in stats, tree has %d", lCount, countL(bin))
 	}
 	// Without selection, the sum of stored counts is the final footprint.
 	if total != res.Stats.FinalStored {

@@ -280,8 +280,8 @@ func TestStatsCounts(t *testing.T) {
 	if res.Stats.Nodes != bin.Count() {
 		t.Errorf("Nodes = %d, want %d", res.Stats.Nodes, bin.Count())
 	}
-	if res.Stats.LNodes != bin.CountL() {
-		t.Errorf("LNodes = %d, want %d", res.Stats.LNodes, bin.CountL())
+	if res.Stats.LNodes != countL(bin) {
+		t.Errorf("LNodes = %d, want %d", res.Stats.LNodes, countL(bin))
 	}
 	if res.Stats.RSelections != 0 || res.Stats.LSelections != 0 {
 		t.Error("no selections expected without a policy")
@@ -356,4 +356,16 @@ func TestWhiteSpace(t *testing.T) {
 	if frac <= 0 || frac >= 1 {
 		t.Fatalf("frac = %f", frac)
 	}
+}
+
+// countL returns the number of L-shaped nodes in the binary tree at b.
+func countL(b *plan.BinNode) int {
+	if b == nil {
+		return 0
+	}
+	n := 0
+	if b.IsL() {
+		n = 1
+	}
+	return n + countL(b.Left) + countL(b.Right)
 }

@@ -264,8 +264,8 @@ func TestSubstoreIgnoredUnderMemoryLimit(t *testing.T) {
 	tree := plan.NewVSlice(plan.NewLeaf("a"), plan.NewLeaf("b"))
 	store := newTestStore(t)
 	res := mustRun(t, lib, Options{MemoryLimit: 1 << 30, Substore: store}, tree)
-	if store.Len() != 0 {
-		t.Fatalf("memory-limited run filled the store with %d records", store.Len())
+	if n := store.Stats().Entries; n != 0 {
+		t.Fatalf("memory-limited run filled the store with %d records", n)
 	}
 	if res.Reuse != (Reuse{}) {
 		t.Fatalf("memory-limited run reported reuse %+v", res.Reuse)

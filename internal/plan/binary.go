@@ -91,18 +91,6 @@ func (b *BinNode) Count() int {
 	return 1 + b.Left.Count() + b.Right.Count()
 }
 
-// CountL returns the number of L-shaped BinNodes in the subtree.
-func (b *BinNode) CountL() int {
-	if b == nil {
-		return 0
-	}
-	n := 0
-	if b.IsL() {
-		n = 1
-	}
-	return n + b.Left.CountL() + b.Right.CountL()
-}
-
 // Restructure converts a validated floorplan tree into the binary tree T'.
 //
 //   - A slicing node with children c1..cn folds left into n-1 binary cuts:

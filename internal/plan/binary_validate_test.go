@@ -48,7 +48,7 @@ func TestBinNodeValidateBranches(t *testing.T) {
 
 func TestBinNodeCountsOnNil(t *testing.T) {
 	var n *BinNode
-	if n.Count() != 0 || n.CountL() != 0 {
+	if n.Count() != 0 || countL(n) != 0 {
 		t.Error("nil counts should be zero")
 	}
 }

@@ -2,11 +2,75 @@ package plan
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
+
+	"floorplan/internal/shape"
 )
 
-// FuzzParseTree checks that arbitrary input never panics the parser and
-// that anything it accepts survives an encode/decode round trip.
+// refTree is the reference decode of a tree document: encoding/json into
+// the method-free jsonNode shape, then the conversion plan.Node's decoding
+// has always applied (a null node or an unknown kind is an error).
+func refTree(data []byte) (*Node, error) {
+	var j jsonNode
+	if err := json.Unmarshal(data, &j); err != nil {
+		return nil, err
+	}
+	return refNode(&j)
+}
+
+func refNode(j *jsonNode) (*Node, error) {
+	if j == nil {
+		return nil, fmt.Errorf("null node")
+	}
+	n := &Node{Module: j.Module, Name: j.Name, CCW: j.CCW}
+	switch j.Kind {
+	case "leaf":
+		n.Kind = Leaf
+	case "hslice":
+		n.Kind = HSlice
+	case "vslice":
+		n.Kind = VSlice
+	case "wheel":
+		n.Kind = Wheel
+	default:
+		return nil, fmt.Errorf("unknown node kind %q", j.Kind)
+	}
+	for _, c := range j.Children {
+		dec, err := refNode(c)
+		if err != nil {
+			return nil, err
+		}
+		n.Children = append(n.Children, dec)
+	}
+	return n, nil
+}
+
+// sameTree compares two decoded trees field by field, a nil children list
+// equal to an empty one.
+func sameTree(a, b *Node) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Kind != b.Kind || a.Module != b.Module || a.Name != b.Name || a.CCW != b.CCW ||
+		len(a.Children) != len(b.Children) {
+		return false
+	}
+	for i := range a.Children {
+		if !sameTree(a.Children[i], b.Children[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzParseTree checks ParseTree against the reference decode: both must
+// reject the input, or both accept it with the same tree. Accepted trees
+// are valid and survive an encode/decode round trip. Seeds for the
+// decoder's traps (folded and repeated keys, null in each position,
+// escapes, invalid UTF-8, deep nesting, trailing data) are under
+// testdata/fuzz/FuzzParseTree.
 func FuzzParseTree(f *testing.F) {
 	seeds := []string{
 		`{"kind":"leaf","module":"m"}`,
@@ -25,12 +89,18 @@ func FuzzParseTree(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tree, err := ParseTree(data)
-		if err != nil {
-			return // rejected input is fine; panicking is not
+		want, refErr := refTree(data)
+		if refErr == nil {
+			refErr = want.Validate()
 		}
-		// Accepted trees are valid and round-trip.
-		if err := tree.Validate(); err != nil {
-			t.Fatalf("ParseTree accepted an invalid tree: %v", err)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ParseTree error %v, reference error %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if !sameTree(tree, want) {
+			t.Fatalf("ParseTree decoded %s, reference %s", mustJSON(t, tree), mustJSON(t, want))
 		}
 		enc, err := EncodeTree(tree)
 		if err != nil {
@@ -40,17 +110,27 @@ func FuzzParseTree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if back.ModuleCount() != tree.ModuleCount() || back.Depth() != tree.Depth() {
+		if !sameTree(back, tree) {
 			t.Fatal("round trip changed the tree")
 		}
 	})
 }
 
-// FuzzParseLibrary checks that arbitrary input never panics the library
-// parser and that anything it accepts is a fixed point of the shared
-// canonicalization path: parse → encode → parse yields identical bytes.
-// Seeds mirror the examples/ corpora (the quickstart wheel library) and
-// fpgen's output format.
+func mustJSON(t *testing.T, n *Node) []byte {
+	b, err := json.Marshal(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzParseLibrary checks the library decoder against encoding/json
+// decoding into a map[string][]shape.RImpl (the same map, a nil list equal
+// to an empty one, or both reject), and that anything ParseLibrary accepts
+// is a fixed point of the shared canonicalization path: parse → encode →
+// parse yields identical bytes. Seeds mirror the examples/ corpora (the
+// quickstart wheel library) and fpgen's output format; the decoder's traps
+// are under testdata/fuzz/FuzzParseLibrary.
 func FuzzParseLibrary(f *testing.F) {
 	seeds := []string{
 		// examples/quickstart's five-module wheel library.
@@ -86,6 +166,17 @@ func FuzzParseLibrary(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Library
+		err := got.UnmarshalJSON(data)
+		var want map[string][]shape.RImpl
+		refErr := json.Unmarshal(data, &want)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decode error %v, encoding/json error %v", err, refErr)
+		}
+		if err == nil && !sameLibrary(got, want) {
+			t.Fatalf("decoded %v, encoding/json %v", got, want)
+		}
+
 		lib, err := ParseLibrary(data)
 		if err != nil {
 			return // rejected input is fine; panicking is not
@@ -122,4 +213,25 @@ func FuzzParseLibrary(f *testing.F) {
 			t.Fatal("parse/encode not a fixed point")
 		}
 	})
+}
+
+// sameLibrary compares a decoded library with the reference map: the same
+// names (a nil map equal to an empty one) with equal lists (a nil list
+// equal to an empty one).
+func sameLibrary(got Library, want map[string][]shape.RImpl) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok || len(g) != len(w) {
+			return false
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				return false
+			}
+		}
+	}
+	return true
 }

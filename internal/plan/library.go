@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"floorplan/internal/jsondec"
 	"floorplan/internal/shape"
 )
 
@@ -116,8 +117,104 @@ func EncodeLibrary(lib Library) ([]byte, error) {
 // the same canonicalization path EncodeLibrary uses.
 func ParseLibrary(data []byte) (Library, error) {
 	var lib Library
-	if err := json.Unmarshal(data, &lib); err != nil {
+	d := jsondec.New(data)
+	if err := DecodeLibrary(d, &lib); err != nil {
+		return nil, fmt.Errorf("plan: decoding library: %w", err)
+	}
+	if err := d.End(); err != nil {
 		return nil, fmt.Errorf("plan: decoding library: %w", err)
 	}
 	return CanonicalLibrary(lib)
+}
+
+// UnmarshalJSON decodes a library in the EncodeLibrary format into *lib,
+// without canonicalizing it; see DecodeLibrary.
+func (lib *Library) UnmarshalJSON(data []byte) error {
+	d := jsondec.New(data)
+	if err := DecodeLibrary(d, lib); err != nil {
+		return err
+	}
+	return d.End()
+}
+
+var implFields = []string{"W", "H"}
+
+// DecodeLibrary reads the next value of d into *lib with the results
+// encoding/json gives for a map[string][]shape.RImpl: null sets *lib to
+// nil, an object adds its modules to *lib (made when nil, so a second
+// object merges into the first), a repeated module name replaces the
+// earlier list, null as a list is a nil list and null as an
+// implementation is {0, 0}. The lists are not canonicalized.
+func DecodeLibrary(d *jsondec.Decoder, lib *Library) error {
+	if d.Null() {
+		*lib = nil
+		return nil
+	}
+	if err := d.Begin('{'); err != nil {
+		return err
+	}
+	if *lib == nil {
+		*lib = make(Library)
+	}
+	var scratch []shape.RImpl // one module's list, copied out at its length
+	for i := 0; ; i++ {
+		key, ok, err := d.Member(i)
+		if err != nil || !ok {
+			return err
+		}
+		name := string(key)
+		var impls []shape.RImpl
+		if !d.Null() {
+			if scratch, err = decodeImpls(d, scratch[:0]); err != nil {
+				return jsondec.Key(err, name)
+			}
+			impls = append([]shape.RImpl{}, scratch...)
+		}
+		(*lib)[name] = impls
+	}
+}
+
+// decodeImpls appends the implementations of one module list to out.
+func decodeImpls(d *jsondec.Decoder, out []shape.RImpl) ([]shape.RImpl, error) {
+	if err := d.Begin('['); err != nil {
+		return out, err
+	}
+	for i := 0; ; i++ {
+		ok, err := d.Elem(i)
+		if err != nil || !ok {
+			return out, err
+		}
+		var im shape.RImpl
+		if !d.Null() {
+			if err := decodeImpl(d, &im); err != nil {
+				return out, jsondec.Index(err, i)
+			}
+		}
+		out = append(out, im)
+	}
+}
+
+func decodeImpl(d *jsondec.Decoder, im *shape.RImpl) error {
+	if err := d.Begin('{'); err != nil {
+		return err
+	}
+	for i := 0; ; i++ {
+		key, ok, err := d.Member(i)
+		if err != nil || !ok {
+			return err
+		}
+		name := jsondec.Match(key, implFields)
+		switch name {
+		case "W":
+			err = d.Int64(&im.W)
+		case "H":
+			err = d.Int64(&im.H)
+		default:
+			name = string(key)
+			err = d.Skip()
+		}
+		if err != nil {
+			return jsondec.Field(err, name)
+		}
+	}
 }

@@ -96,7 +96,7 @@ func TestRestructureSliceFold(t *testing.T) {
 	if got := b.Count(); got != 7 {
 		t.Errorf("Count = %d, want 7", got)
 	}
-	if got := b.CountL(); got != 0 {
+	if got := countL(b); got != 0 {
 		t.Errorf("CountL = %d, want 0 for slicing tree", got)
 	}
 	mods := b.Modules()
@@ -136,7 +136,7 @@ func TestRestructureWheel(t *testing.T) {
 	if l1.Kind != BinLStack || l1.Left.Module != "sw" || l1.Right.Module != "nw" {
 		t.Errorf("step 1 = %v %q %q", l1.Kind, l1.Left.Module, l1.Right.Module)
 	}
-	if got := b.CountL(); got != 3 {
+	if got := countL(b); got != 3 {
 		t.Errorf("CountL = %d, want 3", got)
 	}
 }
@@ -272,4 +272,16 @@ func TestKindStrings(t *testing.T) {
 	if !strings.Contains(Kind(42).String(), "42") || !strings.Contains(BinKind(42).String(), "42") {
 		t.Error("unknown kind formatting wrong")
 	}
+}
+
+// countL returns the number of L-shaped BinNodes in the subtree at b.
+func countL(b *BinNode) int {
+	if b == nil {
+		return 0
+	}
+	n := 0
+	if b.IsL() {
+		n = 1
+	}
+	return n + countL(b.Left) + countL(b.Right)
 }

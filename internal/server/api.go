@@ -8,6 +8,7 @@ import (
 	"floorplan/internal/buildinfo"
 	"floorplan/internal/cache"
 	"floorplan/internal/cluster"
+	"floorplan/internal/jsondec"
 	"floorplan/internal/optimizer"
 	"floorplan/internal/plan"
 	"floorplan/internal/shape"
@@ -53,6 +54,108 @@ type RequestOptions struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// NoCache bypasses the cache for this request: no lookup, no store.
 	NoCache bool `json:"no_cache,omitempty"`
+}
+
+var (
+	requestFields = []string{"tree", "library", "options"}
+	optionFields  = []string{"k1", "k2", "theta", "s", "memory_limit", "skip_placement", "workers", "timeout_ms", "no_cache"}
+)
+
+// UnmarshalJSON decodes a request in one pass over data, without
+// reflection. Every field decodes as encoding/json decodes it into a copy
+// of OptimizeRequest without methods whose tree is the plan.Node JSON
+// shape (see plan.TreeDecoder, plan.DecodeLibrary and package jsondec),
+// and the input is rejected wherever that decode fails or plan.Node's own
+// decoding would: an unknown node kind or a null child. Keys match fields
+// exactly, then case-insensitively; the last of a repeated key wins, and
+// objects decode into what an earlier key left, so a second "library"
+// merges into the first and a second "options" overwrites only the fields
+// it names. Only whitespace may follow the request object.
+func (r *OptimizeRequest) UnmarshalJSON(data []byte) error {
+	d := jsondec.New(data)
+	var trees plan.TreeDecoder
+	if err := r.decode(d, &trees); err != nil {
+		return err
+	}
+	if err := d.End(); err != nil {
+		return err
+	}
+	if r.Tree == nil {
+		return nil
+	}
+	return trees.Check(r.Tree)
+}
+
+func (r *OptimizeRequest) decode(d *jsondec.Decoder, trees *plan.TreeDecoder) error {
+	if d.Null() {
+		return nil
+	}
+	if err := d.Begin('{'); err != nil {
+		return err
+	}
+	for i := 0; ; i++ {
+		key, ok, err := d.Member(i)
+		if err != nil || !ok {
+			return err
+		}
+		name := jsondec.Match(key, requestFields)
+		switch name {
+		case "tree":
+			err = trees.Decode(d, &r.Tree)
+		case "library":
+			err = plan.DecodeLibrary(d, &r.Library)
+		case "options":
+			err = r.Options.decode(d)
+		default:
+			name = string(key)
+			err = d.Skip()
+		}
+		if err != nil {
+			return jsondec.Field(err, name)
+		}
+	}
+}
+
+func (o *RequestOptions) decode(d *jsondec.Decoder) error {
+	if d.Null() {
+		return nil
+	}
+	if err := d.Begin('{'); err != nil {
+		return err
+	}
+	for i := 0; ; i++ {
+		key, ok, err := d.Member(i)
+		if err != nil || !ok {
+			return err
+		}
+		name := jsondec.Match(key, optionFields)
+		switch name {
+		case "k1":
+			err = d.Int(&o.K1)
+		case "k2":
+			err = d.Int(&o.K2)
+		case "theta":
+			err = d.Float64(&o.Theta)
+		case "s":
+			err = d.Int(&o.S)
+		case "memory_limit":
+			err = d.Int64(&o.MemoryLimit)
+		case "skip_placement":
+			err = d.Bool(&o.SkipPlacement)
+		case "workers":
+			err = d.Int(&o.Workers)
+		case "timeout_ms":
+			err = d.Int64(&o.TimeoutMs)
+		case "no_cache":
+			err = d.Bool(&o.NoCache)
+		default:
+			name = string(key)
+			err = d.Skip()
+		}
+		if err != nil {
+			return jsondec.Field(err, name)
+		}
+	}
 }
 
 // OptimizeResponse is the POST /v1/optimize reply.

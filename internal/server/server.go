@@ -50,7 +50,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -840,16 +842,30 @@ func (s *Server) writeRetryable(w http.ResponseWriter, status int, msg string) {
 	writeError(w, status, msg)
 }
 
-// decodeRequest parses and structurally validates the body.
+// decodeRequest reads the body and decodes and structurally validates it.
+// A body over the configured limit is refused 413 whatever it holds, and
+// the bytes after the request object may only be whitespace.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*OptimizeRequest, int, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
-	var req OptimizeRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	limit := s.cfg.maxBody()
+	if r.ContentLength > limit {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	// One read into one buffer sized from Content-Length: ReadFrom keeps
+	// MinRead bytes free, so a complete body never regrows it.
+	var body bytes.Buffer
+	if r.ContentLength > 0 {
+		body.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return nil, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
 		}
+		return nil, http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
+	}
+	var req OptimizeRequest
+	if err := req.UnmarshalJSON(body.Bytes()); err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
 	}
 	if req.Tree == nil {
@@ -960,11 +976,30 @@ func (s *Server) respond(w http.ResponseWriter, key cache.Key, payload []byte, m
 		rt.SubtreeSpliced = rec.flight.subSpliced.Load()
 		rt.SubtreeComputed = rec.flight.subComputed.Load()
 	}
-	writeJSON(w, http.StatusOK, &OptimizeResponse{
-		Key:     key.String(),
-		Result:  json.RawMessage(payload),
-		Runtime: rt,
-	})
+	writeReply(w, key, payload, &rt)
+}
+
+// writeReply writes the 200 reply of an optimize request: the bytes
+// json.Encoder writes for an OptimizeResponse, with the payload written
+// as it is instead of re-encoded. The payload is json.Marshal output (here
+// or on the peer that computed it), already compact and HTML-escaped,
+// which the encoder would copy unchanged; the key is hex.
+// TestWriteReplyMatchesEncoder pins the bytes.
+func writeReply(w http.ResponseWriter, key cache.Key, payload []byte, rt *ResponseRuntime) {
+	envelope, _ := json.Marshal(rt) // strings and integers always marshal
+	head := make([]byte, 0, 2*len(key)+32)
+	head = append(head, `{"key":"`...)
+	head = hex.AppendEncode(head, key[:])
+	head = append(head, `","result":`...)
+	tail := append([]byte(`,"runtime":`), envelope...)
+	tail = append(tail, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	for _, b := range [][]byte{head, payload, tail} {
+		if _, err := w.Write(b); err != nil {
+			return // the client is gone; nothing left to tell it
+		}
+	}
 }
 
 func (s *Server) recordServeSpan(start time.Duration, disposition string, rec *accessInfo) {

@@ -526,6 +526,42 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
+	// Refusals of the body itself name what they refused. The deep body
+	// is over 512 bytes, so it goes to a server with the default limit.
+	_, big := newTestServer(t, Config{Workers: 1})
+	valid := `{` + tree + `,` + lib + `}`
+	deep := strings.Repeat("[", 10001) + strings.Repeat("]", 10001)
+	for _, tc := range []struct {
+		name    string
+		url     string
+		body    io.Reader
+		want    int
+		message string
+	}{
+		{"trailing data", ts.URL, strings.NewReader(valid + ` {}`), http.StatusBadRequest,
+			"invalid character '{' after top-level value"},
+		{"body over the limit after its value", ts.URL, strings.NewReader(valid + strings.Repeat(" ", 600)),
+			http.StatusRequestEntityTooLarge, "body exceeds 512 bytes"},
+		{"chunked body over the limit after its value", ts.URL,
+			io.MultiReader(strings.NewReader(valid + strings.Repeat(" ", 600))),
+			http.StatusRequestEntityTooLarge, "body exceeds 512 bytes"},
+		{"deep nesting", big.URL, strings.NewReader(`{` + tree + `,` + lib + `,"pad":` + deep + `}`),
+			http.StatusBadRequest, "pad: exceeded max depth"},
+		{"bad integer", ts.URL, strings.NewReader(`{` + tree + `,"library":{"a":[{"W":4,"H":7},{"W":1.5,"H":7}]}}`),
+			http.StatusBadRequest, `library["a"][1].W: 1.5 is not an integer`},
+	} {
+		resp, err := http.Post(tc.url+"/v1/optimize", "application/json", tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.want || !strings.Contains(e.Error, tc.message) {
+			t.Errorf("%s: status %d (error %q, %v), want %d naming %q", tc.name, resp.StatusCode, e.Error, err, tc.want, tc.message)
+		}
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/optimize")
 	if err != nil {
 		t.Fatal(err)

@@ -80,8 +80,5 @@ func (s *Store) Put(k plan.Digest, rec NodeRecord) {
 	s.lru().Put(cache.Key(k), appendRecord(nil, rec))
 }
 
-// Len returns the number of records.
-func (s *Store) Len() int { return s.lru().Len() }
-
 // Stats snapshots the store. A nil store reports zeros.
 func (s *Store) Stats() Stats { return s.lru().Stats() }

@@ -42,15 +42,15 @@ func TestExemplarStoreLoad(t *testing.T) {
 func TestExemplarZeroTraceSkipped(t *testing.T) {
 	var h Histogram
 	h.ObserveExemplar(100, 0, 0, 42)
-	if h.Count() != 1 {
-		t.Fatalf("count = %d, want 1", h.Count())
+	if n := h.Snapshot().Count; n != 1 {
+		t.Fatalf("count = %d, want 1", n)
 	}
 	if h.ex.Load() != nil {
 		t.Fatal("zero-trace observation allocated the exemplar table")
 	}
 	c := New()
 	c.RecordExemplar(HistServeMissNs, 100, [16]byte{})
-	if c.hists[HistServeMissNs].Count() != 1 {
+	if c.hists[HistServeMissNs].Snapshot().Count != 1 {
 		t.Fatal("RecordExemplar with zero trace dropped the observation")
 	}
 }
@@ -87,8 +87,8 @@ func TestExemplarMergeNewerWins(t *testing.T) {
 		if e == nil || e.TraceID != traceHex(hiB, loB) {
 			t.Fatalf("%s: want newer exemplar %s, got %+v", dir, traceHex(hiB, loB), e)
 		}
-		if dst.Count() != 2 {
-			t.Fatalf("%s: count = %d, want 2", dir, dst.Count())
+		if n := dst.Snapshot().Count; n != 2 {
+			t.Fatalf("%s: count = %d, want 2", dir, n)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestCollectorMergeExemplarRace(t *testing.T) {
 	}()
 	wg.Wait()
 	want := int64(2 * workers * iters)
-	if got := root.hists[HistServeMissNs].Count(); got != want {
+	if got := root.hists[HistServeMissNs].Snapshot().Count; got != want {
 		t.Fatalf("merged count = %d, want %d", got, want)
 	}
 }

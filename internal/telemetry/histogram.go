@@ -139,17 +139,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Quantile returns the value at quantile q (0 <= q <= 1): the midpoint of
-// the bucket holding the ⌈q·count⌉-th smallest observation, clamped to the
-// observed [min, max]. With the log-linear layout the answer is within
-// ~3.1% of the exact order statistic. Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	return h.Snapshot().Quantile(q)
-}
-
 // BucketCount is one populated histogram bucket in a snapshot: observations
 // v with Lo <= v < Hi, plus — when the histogram recorded exemplars — the
 // trace link of one recent observation in the bucket.
@@ -176,7 +165,8 @@ type HistSnapshot struct {
 // Quantile returns the value at quantile q (0 <= q <= 1) from the
 // snapshot's buckets: the midpoint of the bucket holding the ⌈q·count⌉-th
 // smallest observation, clamped to [Min, Max] so the extremes are exact.
-// Returns 0 on an empty snapshot.
+// With the log-linear layout the answer is within ~3.1% of the exact order
+// statistic. Returns 0 on an empty snapshot.
 func (s HistSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0

@@ -173,7 +173,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 	var h Histogram
 	h.Observe(42)
 	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := h.Quantile(q); got != 42 {
+		if got := h.Snapshot().Quantile(q); got != 42 {
 			t.Fatalf("single-value Quantile(%v) = %d, want 42", q, got)
 		}
 	}
@@ -182,10 +182,10 @@ func TestQuantileEdgeCases(t *testing.T) {
 	var g Histogram
 	g.Observe(1000)
 	g.Observe(1001)
-	if got := g.Quantile(0); got != 1000 {
+	if got := g.Snapshot().Quantile(0); got != 1000 {
 		t.Fatalf("Quantile(0) = %d, want the exact min 1000", got)
 	}
-	if got := g.Quantile(1); got != 1001 {
+	if got := g.Snapshot().Quantile(1); got != 1001 {
 		t.Fatalf("Quantile(1) = %d, want the exact max 1001", got)
 	}
 }
