@@ -2,10 +2,10 @@
 # test suite under the race detector (the parallel evaluator, annealer and
 # table grid are all exercised concurrently by their tests), focused race
 # passes over the telemetry collector, the shared LRU, the pooled combine
-# buffers and the serving path, the observability goldens, a short fuzzing
-# pass over the dominance kernel, the L-block operations and the one-pass
-# request decoder, the benchmark module's vet and tests, and the serve, load
-# and cluster smokes.
+# buffers, the subtree records concurrent runs share and the serving path,
+# the observability goldens, a short fuzzing pass over the dominance kernel,
+# the L-block operations and the one-pass request decoder, the benchmark
+# module's vet and tests, and the serve, load and cluster smokes.
 # Performance is measured by the benchmark in bench/ (see bench/README.md),
 # not by make.
 
@@ -54,10 +54,12 @@ bench-module:
 
 # Focused race pass over the evaluation hot path: the pooled combine
 # buffers, whose results must never alias a buffer another goroutine reuses,
-# plus the parallel optimizer and the memory-limited runs it must not change.
+# plus the parallel optimizer, the memory-limited runs it must not change,
+# and the stored subtree records that concurrent runs splice and must never
+# write to.
 race-combine:
 	$(GO) test -race -count=2 ./internal/combine/
-	$(GO) test -race -run 'TestWorkersBitIdentical|TestMemoryLimitWorkersAgree' ./internal/optimizer/
+	$(GO) test -race -run 'TestWorkersBitIdentical|TestMemoryLimitWorkersAgree|TestSubstoreRecordsUnchanged' ./internal/optimizer/
 
 # fuzz-smoke fuzzes for 10 s each, beyond the seed corpora `go test` runs:
 # the 4-d minima kernel against its quadratic oracle, the four L-block

@@ -1,24 +1,26 @@
 // Package cache is the serving layer's cross-request memo: a bounded,
-// sharded, content-addressed LRU of byte payloads keyed by 32-byte content
-// addresses. The paper makes one fixed-topology optimization cheap; callers
-// that re-optimize near-identical trees thousands of times (interactive
-// editors, annealers, workload generators) make the amortized cost matter,
-// and a content-addressed cache turns repeated work into lookups.
+// sharded, content-addressed LRU keyed by 32-byte content addresses. The
+// paper makes one fixed-topology optimization cheap; callers that
+// re-optimize near-identical trees thousands of times (interactive editors,
+// annealers, workload generators) make the amortized cost matter, and a
+// content-addressed cache turns repeated work into lookups.
 //
-// The one LRU serves two memo levels, each recording its own telemetry
-// family: New builds the whole-request result cache (cache.* counters),
-// keyed by the canonical hash of (subtree structure, module shape lists,
-// selection limits) and holding the marshaled deterministic result, so a
-// hit is byte-identical to the original computation by construction.
-// internal/substore builds the per-subtree store on the same LRU through
-// NewLRU (substore.* counters) and adds only its record codec.
+// The one LRU, generic over its value type, serves two memo levels, each
+// recording its own telemetry family: New builds the whole-request result
+// cache (cache.* counters), an LRU of byte payloads keyed by the canonical
+// hash of (subtree structure, module shape lists, selection limits) and
+// holding the marshaled deterministic result, so a hit is byte-identical to
+// the original computation by construction. internal/substore builds the
+// per-subtree store through NewLRU (substore.* counters): an LRU of node
+// records held as values, charged by the bytes they hold in memory.
 //
 // Storage is bounded by a byte budget accounted through an
 // internal/memtrack.Tracker — the same reservation-based admission the
 // optimizer uses for implementation counts — with per-shard LRU eviction
 // making room; an entry larger than the whole budget is rejected rather
 // than thrashing the cache. All operations are safe for concurrent use;
-// locking is per shard.
+// locking is per shard. Values are shared, never copied: callers must not
+// modify a value after Put or one that Get returned.
 package cache
 
 import (
@@ -34,12 +36,13 @@ import (
 )
 
 // entryOverhead approximates the per-entry bookkeeping cost (key, map slot,
-// LRU node) charged against the byte budget in addition to the payload.
+// LRU node) charged against the byte budget in addition to the value's own
+// size.
 const entryOverhead = 128
 
-// Config sizes a Cache.
+// Config sizes an LRU.
 type Config struct {
-	// MaxBytes is the budget for payload bytes plus per-entry overhead.
+	// MaxBytes is the budget for value bytes plus per-entry overhead.
 	// Required: New fails on a non-positive budget (a disabled cache is a
 	// nil *Cache, which every method accepts).
 	MaxBytes int64
@@ -51,8 +54,8 @@ type Config struct {
 	Telemetry *telemetry.Collector
 }
 
-// Counters names the telemetry family a Cache records, so each memo level
-// built on the LRU reports under its own names.
+// Counters names the telemetry family an LRU records, so each memo level
+// built on it reports under its own names.
 type Counters struct {
 	Hits, Misses, Evictions, Rejects telemetry.Counter
 	PeakBytes                        telemetry.Watermark
@@ -67,17 +70,22 @@ var resultCounters = Counters{
 	PeakBytes: telemetry.MaxCacheBytes,
 }
 
-// Cache is the sharded LRU. A nil *Cache is the disabled state: Get always
-// misses, Put is a no-op.
-type Cache struct {
+// LRU is the sharded LRU of values of type V. A nil *LRU is the disabled
+// state: Get always misses, Put is a no-op.
+type LRU[V any] struct {
 	shards []shard
 	mask   uint32
 	mem    *memtrack.Tracker
 	tel    *telemetry.Collector
 	ctr    Counters
+	// size is the byte charge of one value, fixed when the LRU is built.
+	size func(V) int64
 
 	hits, misses, evictions, rejects atomic.Int64
 }
+
+// Cache is the result cache: an LRU of marshaled result payloads.
+type Cache = LRU[[]byte]
 
 type shard struct {
 	mu      sync.Mutex
@@ -85,18 +93,21 @@ type shard struct {
 	lru     *list.List // front = most recently used
 }
 
-type entry struct {
+type entry[V any] struct {
 	key   Key
-	value []byte
+	value V
 	size  int64
 }
 
-// New builds the result cache under the given byte budget.
-func New(cfg Config) (*Cache, error) { return NewLRU(cfg, resultCounters) }
+// New builds the result cache under the given byte budget. A payload is
+// charged its length.
+func New(cfg Config) (*Cache, error) {
+	return NewLRU(cfg, resultCounters, func(b []byte) int64 { return int64(len(b)) })
+}
 
-// NewLRU builds a cache under the given byte budget that records the
-// counter family ctr.
-func NewLRU(cfg Config, ctr Counters) (*Cache, error) {
+// NewLRU builds an LRU under the given byte budget that records the
+// counter family ctr and charges each value size(value) bytes.
+func NewLRU[V any](cfg Config, ctr Counters, size func(V) int64) (*LRU[V], error) {
 	if cfg.MaxBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive byte budget %d", cfg.MaxBytes)
 	}
@@ -109,12 +120,13 @@ func NewLRU(cfg Config, ctr Counters) (*Cache, error) {
 	for p < n {
 		p <<= 1
 	}
-	c := &Cache{
+	c := &LRU[V]{
 		shards: make([]shard, p),
 		mask:   uint32(p - 1),
 		mem:    memtrack.NewTracker(cfg.MaxBytes),
 		tel:    cfg.Telemetry,
 		ctr:    ctr,
+		size:   size,
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[Key]*list.Element)
@@ -123,57 +135,47 @@ func NewLRU(cfg Config, ctr Counters) (*Cache, error) {
 	return c, nil
 }
 
-func (c *Cache) shard(k Key) *shard {
+func (c *LRU[V]) shard(k Key) *shard {
 	return &c.shards[binary.LittleEndian.Uint32(k[:4])&c.mask]
 }
 
-// Get returns the payload stored under k and marks the entry recently used.
-// The returned bytes are shared and must be treated as immutable. A nil
-// cache always misses.
-func (c *Cache) Get(k Key) ([]byte, bool) { return GetDecoded(c, k, keepBytes) }
-
-func keepBytes(b []byte) ([]byte, error) { return b, nil }
-
-// GetDecoded is Get for callers that store an encoded value: it decodes the
-// entry's bytes outside the shard lock. An entry decode rejects (format
-// drift) is deleted and the lookup counts as a miss, not a hit.
-func GetDecoded[T any](c *Cache, k Key, decode func([]byte) (T, error)) (T, bool) {
-	var zero T
+// Get returns the value stored under k and marks the entry recently used.
+// The value is shared with the cache and every other reader and must be
+// treated as immutable. A nil LRU always misses.
+func (c *LRU[V]) Get(k Key) (V, bool) {
+	var v V
 	if c == nil {
-		return zero, false
+		return v, false
 	}
 	s := c.shard(k)
 	s.mu.Lock()
 	el, ok := s.entries[k]
 	if ok {
 		s.lru.MoveToFront(el)
+		v = el.Value.(*entry[V]).value
 	}
 	s.mu.Unlock()
 	if ok {
-		v, err := decode(el.Value.(*entry).value)
-		if err == nil {
-			c.hits.Add(1)
-			c.tel.Inc(c.ctr.Hits)
-			return v, true
-		}
-		c.Delete(k)
+		c.hits.Add(1)
+		c.tel.Inc(c.ctr.Hits)
+	} else {
+		c.misses.Add(1)
+		c.tel.Inc(c.ctr.Misses)
 	}
-	c.misses.Add(1)
-	c.tel.Inc(c.ctr.Misses)
-	return zero, false
+	return v, ok
 }
 
 // Put stores value under k, evicting least-recently-used entries of the
 // same shard until the byte budget admits it. Storing an existing key is a
-// no-op (values are content-addressed: same key, same bytes). An entry the
+// no-op (values are content-addressed: same key, same value). An entry the
 // budget can never admit — or one that would require evicting the entire
 // shard and still not fit — is dropped and counted as a reject. The caller
 // must not modify value afterwards.
-func (c *Cache) Put(k Key, value []byte) {
+func (c *LRU[V]) Put(k Key, value V) {
 	if c == nil {
 		return
 	}
-	size := int64(len(value)) + entryOverhead
+	size := c.size(value) + entryOverhead
 	if size > c.mem.Limit() {
 		// Never admissible: reject before sacrificing resident entries.
 		c.rejects.Add(1)
@@ -200,48 +202,24 @@ func (c *Cache) Put(k Key, value []byte) {
 		}
 		c.evictOldest(s)
 	}
-	el := s.lru.PushFront(&entry{key: k, value: value, size: size})
+	el := s.lru.PushFront(&entry[V]{key: k, value: value, size: size})
 	s.entries[k] = el
 	c.tel.Observe(c.ctr.PeakBytes, c.mem.Current())
 }
 
-// Delete removes the entry stored under k, if present, and releases its
-// bytes. It is not counted as an eviction.
-func (c *Cache) Delete(k Key) {
-	if c == nil {
-		return
-	}
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		c.remove(s, el)
-	}
-}
-
-// evictOldest removes the shard's least-recently-used entry. The shard
-// lock must be held.
-func (c *Cache) evictOldest(s *shard) {
-	el := s.lru.Back()
-	if el == nil {
-		return
-	}
-	c.remove(s, el)
+// evictOldest removes the shard's least-recently-used entry and releases
+// its bytes. The shard lock must be held and the shard must be non-empty.
+func (c *LRU[V]) evictOldest(s *shard) {
+	e := s.lru.Remove(s.lru.Back()).(*entry[V])
+	delete(s.entries, e.key)
+	// Release cannot fail here: every stored entry's size was admitted.
+	_ = c.mem.Release(e.size)
 	c.evictions.Add(1)
 	c.tel.Inc(c.ctr.Evictions)
 }
 
-// remove unlinks el and releases its bytes. The shard lock must be held.
-func (c *Cache) remove(s *shard, el *list.Element) {
-	e := el.Value.(*entry)
-	s.lru.Remove(el)
-	delete(s.entries, e.key)
-	// Release cannot fail here: every stored entry's size was admitted.
-	_ = c.mem.Release(e.size)
-}
-
 // Len returns the number of entries across all shards.
-func (c *Cache) Len() int {
+func (c *LRU[V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -267,8 +245,8 @@ type Stats struct {
 	Rejects   int64 `json:"rejects"`
 }
 
-// Stats snapshots the cache. A nil cache reports zeros.
-func (c *Cache) Stats() Stats {
+// Stats snapshots the LRU. A nil LRU reports zeros.
+func (c *LRU[V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}

@@ -226,12 +226,10 @@ type nodeOutcome struct {
 
 	// Telemetry fields, populated only when a collector is attached.
 	// selErr is the selection error admitted at this node; selN/selK the
-	// CSPP instance dimensions when selection ran; candidates the number
-	// of implementation pairs the combine operation considered. start,
-	// dur and worker place the evaluation on the trace timeline.
+	// CSPP instance dimensions when selection ran. start, dur and worker
+	// place the evaluation on the trace timeline.
 	selErr     int64
 	selN, selK int
-	candidates int64
 	start, dur time.Duration
 	worker     int
 }
@@ -490,24 +488,6 @@ func (st *runState) evalNodeInner(b *plan.BinNode) error {
 	}
 	left := st.evals[b.Left.ID]
 	right := st.evals[b.Right.ID]
-	if st.tel != nil || st.sub != nil {
-		// Candidate pairs the combine operation enumerates: |left|·|right|.
-		// Computed for the store as well as for telemetry: stored records
-		// must carry the exact count so a spliced node's telemetry
-		// contribution matches the evaluation it replaced.
-		var ln, rn int
-		if b.Left.IsL() {
-			ln = left.ls.Size()
-		} else {
-			ln = len(left.rl)
-		}
-		if b.Right.IsL() {
-			rn = right.ls.Size()
-		} else {
-			rn = len(right.rl)
-		}
-		out.candidates = int64(ln) * int64(rn)
-	}
 	// budget lets the combination abort as soon as a node's non-redundant
 	// set alone exceeds the remaining memory allowance, instead of fully
 	// generating a doomed node first.
@@ -646,7 +626,6 @@ func (st *runState) emitTelemetry(schedule []*plan.BinNode, stats Stats) {
 			continue
 		}
 		tel.Record(telemetry.HistListBefore, int64(out.stat.Generated))
-		tel.Add(telemetry.CtrCombineCandidates, out.candidates)
 		if out.rsel > 0 {
 			tel.Add(telemetry.CtrRSelectionError, out.selErr)
 		}

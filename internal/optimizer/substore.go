@@ -18,17 +18,17 @@ import (
 //
 // The splice is exact, not approximate: a NodeRecord carries the full
 // per-node outcome (curve, generated/stored counts, selection error and
-// CSPP dimensions, combine candidates), so the deterministic accounting —
-// Stats replay, NodeStats, telemetry counters — and placement traceback
-// are byte-identical whether a node was evaluated or resolved. Memory-
-// limited runs never consult the store (RunBinary gates on
-// MemoryLimit == 0): an abort's partial statistics depend on which nodes
-// actually admitted implementations, which splicing would change.
-
-// substoreCtxVersion versions the digest context; bump it whenever the
-// evaluation semantics behind a stored record change, so stale records
-// from older builds can never resolve.
-const substoreCtxVersion = 1
+// CSPP dimensions), so the deterministic accounting — Stats replay,
+// NodeStats, telemetry counters — and placement traceback are
+// byte-identical whether a node was evaluated or resolved. Memory-limited
+// runs never consult the store (RunBinary gates on MemoryLimit == 0): an
+// abort's partial statistics depend on which nodes actually admitted
+// implementations, which splicing would change.
+//
+// A spliced record's lists are the stored ones, shared with every other
+// run that splices them, concurrent runs included. That is sound because
+// nothing writes to a retained list: combine, selection and traceback
+// only read their operands, and Result.RootList is a copy.
 
 // substoreContext encodes everything outside the tree and library that
 // changes a node's evaluation result: the selection policy. Worker count,
@@ -37,8 +37,7 @@ const substoreCtxVersion = 1
 // differ only in those share records.
 func (o *Optimizer) substoreContext() []byte {
 	p := o.opts.Policy
-	ctx := []byte{substoreCtxVersion}
-	ctx = binary.AppendVarint(ctx, int64(p.K1))
+	ctx := binary.AppendVarint(nil, int64(p.K1))
 	ctx = binary.AppendVarint(ctx, int64(p.K2))
 	ctx = binary.AppendVarint(ctx, int64(p.S))
 	ctx = binary.AppendUvarint(ctx, math.Float64bits(p.Theta))
@@ -67,7 +66,7 @@ func (st *runState) resolveFromStore(schedule []*plan.BinNode) []*plan.BinNode {
 		rec, ok := st.sub.Get(st.digests[b.ID])
 		if !ok || rec.LShaped != b.IsL() {
 			// Miss — or a record whose shape class contradicts the node,
-			// which would mean digest collision or format drift; evaluate.
+			// which would mean a digest collision; evaluate.
 			work = append(work, b)
 			continue
 		}
@@ -91,10 +90,9 @@ func (st *runState) splice(b *plan.BinNode, rec substore.NodeRecord) {
 			Stored:    rec.Stored,
 			Lists:     rec.Lists,
 		},
-		selErr:     rec.SelErr,
-		selN:       rec.SelN,
-		selK:       rec.SelK,
-		candidates: rec.Candidates,
+		selErr: rec.SelErr,
+		selN:   rec.SelN,
+		selK:   rec.SelK,
 	}
 	if rec.RSel {
 		out.rsel = 1
@@ -111,7 +109,9 @@ func (st *runState) splice(b *plan.BinNode, rec substore.NodeRecord) {
 // fillStore writes every successfully evaluated node's outcome back to
 // the store and returns the number of records offered. Failed nodes are
 // never stored (their outcome is a partial accounting artifact, not a
-// reusable curve).
+// reusable curve). The store keeps the lists it is given, so a leaf's list
+// is copied: one that needed no R_Selection is the caller's library slice,
+// which the caller may change after the run.
 func (st *runState) fillStore(work []*plan.BinNode) int {
 	puts := 0
 	for _, b := range work {
@@ -120,19 +120,22 @@ func (st *runState) fillStore(work []*plan.BinNode) int {
 		if out == nil || out.failed || ev == nil {
 			continue
 		}
+		rl := ev.rl
+		if b.Kind == plan.BinLeaf {
+			rl = rl.Clone()
+		}
 		st.sub.Put(st.digests[b.ID], substore.NodeRecord{
-			LShaped:    out.stat.LShaped,
-			RSel:       out.rsel > 0,
-			LSel:       out.lsel > 0,
-			Generated:  out.stat.Generated,
-			Stored:     out.stat.Stored,
-			Lists:      out.stat.Lists,
-			SelErr:     out.selErr,
-			SelN:       out.selN,
-			SelK:       out.selK,
-			Candidates: out.candidates,
-			RL:         ev.rl,
-			LS:         ev.ls,
+			LShaped:   out.stat.LShaped,
+			RSel:      out.rsel > 0,
+			LSel:      out.lsel > 0,
+			Generated: out.stat.Generated,
+			Stored:    out.stat.Stored,
+			Lists:     out.stat.Lists,
+			SelErr:    out.selErr,
+			SelN:      out.selN,
+			SelK:      out.selK,
+			RL:        rl,
+			LS:        ev.ls,
 		})
 		puts++
 	}

@@ -1,9 +1,12 @@
 package optimizer
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"floorplan/internal/gen"
@@ -269,5 +272,207 @@ func TestSubstoreIgnoredUnderMemoryLimit(t *testing.T) {
 	}
 	if res.Reuse != (Reuse{}) {
 		t.Fatalf("memory-limited run reported reuse %+v", res.Reuse)
+	}
+}
+
+// recordHash hashes a record's fields and the contents of its lists.
+func recordHash(rec substore.NodeRecord) [sha256.Size]byte {
+	return sha256.Sum256(fmt.Appendf(nil, "%+v", rec))
+}
+
+// recordHashes fetches the record of every node of tree from store by its
+// subtree digest and hashes it.
+func recordHashes(t *testing.T, lib Library, policy selection.Policy, tree *plan.Node, store *substore.Store) map[plan.Digest][sha256.Size]byte {
+	t.Helper()
+	bin, err := plan.Restructure(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := mustOptimizer(t, lib, Options{Policy: policy})
+	hashes := map[plan.Digest][sha256.Size]byte{}
+	for _, d := range plan.SubtreeDigests(bin, o.substoreContext(), o.planLibrary()) {
+		rec, ok := store.Get(d)
+		if !ok {
+			t.Fatalf("no record stored under %x", d)
+		}
+		hashes[d] = recordHash(rec)
+	}
+	return hashes
+}
+
+// TestSubstoreRecordsUnchanged pins the store's sharing rule: a record's
+// lists are spliced as they are into every later run, concurrent runs
+// included, so no run may write to them. It primes one store with several
+// random trees and hashes every node's record, then solves each tree warm
+// and with one module edited, all at once against that store at workers 1
+// and 8. Every answer must match a store-off run and every hash must be
+// unchanged.
+func TestSubstoreRecordsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(933))
+	params := gen.DefaultModuleParams(6)
+	policy := selection.Policy{K1: 8, K2: 40, S: 30}
+	store := newTestStore(t)
+	type job struct {
+		lib  Library
+		tree *plan.Node
+		ref  *Result
+	}
+	var jobs []job
+	hashes := map[plan.Digest][sha256.Size]byte{}
+	for trial := 0; trial < 4; trial++ {
+		tree, err := gen.RandomTree(rng, 12+rng.Intn(8), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rawLib, err := gen.Library(rng, tree, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib := Library(rawLib)
+		mustRun(t, lib, Options{Policy: policy, Workers: 1, Substore: store}, tree)
+		maps.Copy(hashes, recordHashes(t, lib, policy, tree, store))
+
+		edited := maps.Clone(lib)
+		modules := tree.Modules()
+		m := modules[rng.Intn(len(modules))]
+		for edited[m].Equal(lib[m]) {
+			if edited[m], err = gen.Module(rng, params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range []Library{lib, edited} {
+			jobs = append(jobs, job{l, tree, mustRun(t, l, Options{Policy: policy, Workers: 1}, tree)})
+		}
+	}
+
+	type answer struct {
+		label string
+		res   *Result
+		ref   *Result
+	}
+	answers := make(chan answer, 2*len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		for _, w := range []int{1, 8} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				label := fmt.Sprintf("job %d, workers %d", i, w)
+				o, err := New(j.lib, Options{Policy: policy, Workers: w, Substore: store})
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				res, err := o.Run(j.tree)
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				answers <- answer{label, res, j.ref}
+			}()
+		}
+	}
+	wg.Wait()
+	close(answers)
+	for a := range answers {
+		assertSameResult(t, a.label, a.res, a.ref)
+	}
+	for d, want := range hashes {
+		rec, ok := store.Get(d)
+		if !ok {
+			t.Fatalf("record %x left the store", d)
+		}
+		if recordHash(rec) != want {
+			t.Fatalf("record %x changed after it was stored: %+v", d, rec)
+		}
+	}
+}
+
+// TestSubstoreOwnsLeafLists pins the other half of the sharing rule: the
+// store never keeps memory the caller owns. A leaf whose list needs no
+// R_Selection evaluates to the caller's library slice itself, so after a
+// run the caller overwrites every library list in place; a warm run on an
+// unedited copy of the library must still answer byte for byte like a
+// store-off run.
+func TestSubstoreOwnsLeafLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(934))
+	tree, err := gen.RandomTree(rng, 12, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawLib, err := gen.Library(rng, tree, gen.DefaultModuleParams(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := Library(rawLib)
+	unedited := make(Library, len(lib))
+	for m, l := range lib {
+		unedited[m] = l.Clone()
+	}
+	// K1 above the module size: no leaf runs R_Selection.
+	policy := selection.Policy{K1: 8, K2: 40, S: 30}
+	store := newTestStore(t)
+	mustRun(t, lib, Options{Policy: policy, Workers: 1, Substore: store}, tree)
+	for _, l := range lib {
+		for i := range l {
+			l[i].W++
+		}
+	}
+	want := mustRun(t, unedited, Options{Policy: policy, Workers: 1}, tree)
+	got := mustRun(t, unedited, Options{Policy: policy, Workers: 1, Substore: store}, tree)
+	if got.Reuse.ComputedNodes != 0 {
+		t.Fatalf("warm run computed %d nodes, want full resolution", got.Reuse.ComputedNodes)
+	}
+	assertSameResult(t, "warm run after the library was overwritten", got, want)
+}
+
+// BenchmarkSubstoreEdit times the serve_edit workload's re-solve in
+// process: one base design (96 modules, pWheel 0.25, 16 implementations
+// each; K1 16, K2 200, θ 0.5, S 500) primed into a subtree store, then
+// one-module edits re-solved against it at Workers 1. Each edit replaces
+// one module's list of the base with a fresh draw, so it evaluates the
+// spine through that module and splices every other node.
+func BenchmarkSubstoreEdit(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	params := gen.DefaultModuleParams(16)
+	tree, err := gen.RandomTree(rng, 96, 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rawLib, err := gen.Library(rng, tree, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := Library(rawLib)
+	store, err := substore.New(substore.Config{MaxBytes: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Policy: selection.Policy{K1: 16, K2: 200, Theta: 0.5, S: 500}, Workers: 1, Substore: store}
+	solve := func() {
+		o, err := New(lib, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := o.Run(tree); err != nil {
+			b.Fatal(err)
+		}
+	}
+	solve()
+	modules := tree.Modules()
+	edits := make([]shape.RList, b.N)
+	for i := range edits {
+		if edits[i], err = gen.Module(rng, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, l := range edits {
+		m := modules[i%len(modules)]
+		base := lib[m]
+		lib[m] = l
+		solve()
+		lib[m] = base
 	}
 }

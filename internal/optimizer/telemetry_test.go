@@ -101,9 +101,6 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 	if st.RSelections > 0 && col.Counter(telemetry.CtrRSelectionError) <= 0 {
 		t.Error("R selections ran but no admitted selection error was recorded")
 	}
-	if col.Counter(telemetry.CtrCombineCandidates) <= 0 {
-		t.Error("no combine candidates counted")
-	}
 	// Only L_Selection routes through the cspp solver (RSelect inlines its
 	// DP), so the pool counter is tied to L selections.
 	if st.LSelections > 0 && col.Counter(telemetry.CtrCSPPSolves) <= 0 {

@@ -35,7 +35,7 @@ import (
 //
 // The ctx argument is mixed into every node's preimage and must encode
 // everything outside the tree that changes evaluation results — the
-// selection policy, plus a format version (see optimizer.substoreContext).
+// selection policy (see optimizer.substoreContext).
 
 // Digest is the SHA-256 content address of one subtree's sub-problem.
 type Digest [32]byte

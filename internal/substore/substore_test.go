@@ -3,6 +3,7 @@ package substore
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"floorplan/internal/cache"
 	"floorplan/internal/plan"
@@ -17,120 +18,87 @@ func digest(b byte) plan.Digest {
 
 func rRecord(w int64) NodeRecord {
 	return NodeRecord{
-		RSel:       true,
-		Generated:  7,
-		Stored:     3,
-		SelErr:     12,
-		SelN:       7,
-		SelK:       3,
-		Candidates: 21,
-		RL:         shape.RList{{W: w, H: 2}, {W: w + 1, H: 1}},
+		RSel:      true,
+		Generated: 7,
+		Stored:    3,
+		SelErr:    12,
+		SelN:      7,
+		SelK:      3,
+		RL:        shape.RList{{W: w, H: 2}, {W: w + 1, H: 1}},
 	}
 }
 
-// TestRecordRoundTrip serializes and re-decodes both record shapes and
-// demands exact equality — splicing depends on every field surviving.
-func TestRecordRoundTrip(t *testing.T) {
-	recs := []NodeRecord{
-		rRecord(4),
-		{
-			LShaped:    true,
-			LSel:       true,
-			Generated:  11,
-			Stored:     5,
-			Lists:      2,
-			SelErr:     -3,
-			SelN:       11,
-			SelK:       5,
-			Candidates: 40,
-			LS: shape.LSet{Lists: []shape.LList{
-				{{W1: 5, W2: 2, H1: 4, H2: 1}, {W1: 4, W2: 3, H1: 5, H2: 2}},
-				{},
-			}},
-		},
-		{RL: shape.RList{}},
-	}
-	for i, rec := range recs {
-		blob := appendRecord(nil, rec)
-		back, err := decodeRecord(blob)
-		if err != nil {
-			t.Fatalf("record %d: decode: %v", i, err)
-		}
-		// Decoding materializes empty slices; normalize before comparing.
-		if len(rec.RL) == 0 && len(back.RL) == 0 {
-			rec.RL, back.RL = nil, nil
-		}
-		if !reflect.DeepEqual(rec, back) {
-			t.Fatalf("record %d round trip:\n%+v\n%+v", i, rec, back)
-		}
+func lRecord() NodeRecord {
+	return NodeRecord{
+		LShaped:   true,
+		LSel:      true,
+		Generated: 11,
+		Stored:    5,
+		Lists:     2,
+		SelErr:    -3,
+		SelN:      11,
+		SelK:      5,
+		LS: shape.LSet{Lists: []shape.LList{
+			{{W1: 5, W2: 2, H1: 4, H2: 1}, {W1: 4, W2: 3, H1: 5, H2: 2}},
+			{},
+		}},
 	}
 }
 
-// TestRecordDecodeRejects feeds malformed blobs: wrong version, truncation
-// and trailing garbage must all error rather than decode junk.
-func TestRecordDecodeRejects(t *testing.T) {
-	good := appendRecord(nil, rRecord(4))
-	bad := [][]byte{
-		nil,
-		{recordVersion},
-		{recordVersion + 1, 0},
-		good[:len(good)-1],
-		append(append([]byte{}, good...), 0),
+// overhead is the LRU's per-entry charge: what a result-cache entry with
+// an empty payload costs.
+func overhead(t *testing.T) int64 {
+	t.Helper()
+	c, err := cache.New(cache.Config{MaxBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, blob := range bad {
-		if _, err := decodeRecord(blob); err == nil {
-			t.Fatalf("blob %d decoded without error", i)
-		}
-	}
+	c.Put(cache.Key{}, nil)
+	return c.Stats().Bytes
 }
 
-// TestStoreGetPut covers the basic contract: miss before put, hit after,
-// content-addressed no-op on re-put, and stats accounting.
+// TestStoreGetPut covers the basic contract for both record shapes: miss
+// before put, every field back after it, content-addressed no-op on
+// re-put, and a byte charge of what the record holds in memory — the
+// struct and the capacity of every list — plus the per-entry overhead.
 func TestStoreGetPut(t *testing.T) {
 	s, err := New(Config{MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := digest(1)
-	if _, ok := s.Get(k); ok {
-		t.Fatal("hit on empty store")
+	recSize := int64(unsafe.Sizeof(NodeRecord{}))
+	cases := []struct {
+		rec     NodeRecord
+		charged int64
+	}{
+		{rRecord(4), recSize + 2*int64(unsafe.Sizeof(shape.RImpl{}))},
+		{lRecord(), recSize + 2*int64(unsafe.Sizeof(shape.LList{})) + 2*int64(unsafe.Sizeof(shape.LImpl{}))},
 	}
-	s.Put(k, rRecord(4))
-	rec, ok := s.Get(k)
-	if !ok {
-		t.Fatal("miss after put")
+	perEntry := overhead(t)
+	var want int64
+	for i, tc := range cases {
+		k := digest(byte(i + 1))
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("record %d: hit on empty store", i)
+		}
+		s.Put(k, tc.rec)
+		got, ok := s.Get(k)
+		if !ok {
+			t.Fatalf("record %d: miss after put", i)
+		}
+		if !reflect.DeepEqual(got, tc.rec) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got, tc.rec)
+		}
+		// Same digest, same evaluation: a second put must not grow the store.
+		s.Put(k, tc.rec)
+		want += tc.charged + perEntry
+		if st := s.Stats(); st.Bytes != want {
+			t.Fatalf("record %d: store holds %d bytes, want %d", i, st.Bytes, want)
+		}
 	}
-	if !rec.RL.Equal(rRecord(4).RL) || rec.SelErr != 12 {
-		t.Fatalf("got %+v", rec)
-	}
-	// Same digest, same evaluation: a second put must not grow the store.
-	s.Put(k, rRecord(4))
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+	if st.Hits != 2 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("stats %+v", st)
-	}
-	if st.Bytes <= 0 || st.Bytes > st.Budget {
-		t.Fatalf("bytes %d outside (0, %d]", st.Bytes, st.Budget)
-	}
-}
-
-// TestStoreDropsUndecodable plants a corrupt blob through the LRU and
-// checks Get treats it as a miss (not a hit) and removes it.
-func TestStoreDropsUndecodable(t *testing.T) {
-	s, err := New(Config{MaxBytes: 1 << 20, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := digest(3)
-	s.lru().Put(cache.Key(k), []byte{recordVersion + 9})
-	if _, ok := s.Get(k); ok {
-		t.Fatal("corrupt record served as a hit")
-	}
-	if s.Stats().Entries != 0 {
-		t.Fatal("corrupt record left resident")
-	}
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.Bytes != 0 {
-		t.Fatalf("stats after dropping a corrupt record: %+v", st)
 	}
 }
 

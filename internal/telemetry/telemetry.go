@@ -31,15 +31,14 @@ type Counter uint8
 
 const (
 	// Optimizer: bottom-up evaluation of the binary block tree.
-	CtrNodes             Counter = iota // blocks evaluated
-	CtrLNodes                           // L-shaped blocks evaluated
-	CtrGenerated                        // implementations generated before selection
-	CtrStored                           // implementations retained after selection
-	CtrCombineCandidates                // candidate pairs considered by combine ops
-	CtrRSelections                      // R_Selection invocations
-	CtrLSelections                      // L_Selection invocations
-	CtrRSelectionError                  // total staircase area admitted by R_Selection
-	CtrLSelectionError                  // total distance error admitted by L_Selection
+	CtrNodes           Counter = iota // blocks evaluated
+	CtrLNodes                         // L-shaped blocks evaluated
+	CtrGenerated                      // implementations generated before selection
+	CtrStored                         // implementations retained after selection
+	CtrRSelections                    // R_Selection invocations
+	CtrLSelections                    // L_Selection invocations
+	CtrRSelectionError                // total staircase area admitted by R_Selection
+	CtrLSelectionError                // total distance error admitted by L_Selection
 
 	// Annealer: topology search moves.
 	CtrMovesProposed
@@ -170,7 +169,6 @@ var counterMeta = [numCounters]metricMeta{
 	CtrLNodes:                {name: "optimizer.l_nodes", help: "L-shaped blocks evaluated."},
 	CtrGenerated:             {name: "optimizer.generated", help: "Implementations generated before selection."},
 	CtrStored:                {name: "optimizer.stored", help: "Implementations retained after selection."},
-	CtrCombineCandidates:     {name: "optimizer.combine_candidates", help: "Candidate pairs considered by combine operators."},
 	CtrRSelections:           {name: "optimizer.r_selections", help: "R_Selection invocations."},
 	CtrLSelections:           {name: "optimizer.l_selections", help: "L_Selection invocations."},
 	CtrRSelectionError:       {name: "optimizer.r_selection_error", help: "Total staircase area admitted by R_Selection."},
