@@ -4,8 +4,9 @@
 # passes over the telemetry collector, the shared LRU, the pooled combine
 # buffers, the subtree records concurrent runs share and the serving path,
 # the observability goldens, a short fuzzing pass over the dominance kernel,
-# the L-block operations and the one-pass request decoder, the benchmark
-# module's vet and tests, and the serve, load and cluster smokes.
+# the L-block operations, R_Selection's line-envelope solver and the
+# one-pass request decoder, the benchmark module's vet and tests, and the
+# serve, load and cluster smokes.
 # Performance is measured by the benchmark in bench/ (see bench/README.md),
 # not by make.
 
@@ -64,14 +65,17 @@ race-combine:
 # fuzz-smoke fuzzes for 10 s each, beyond the seed corpora `go test` runs:
 # the 4-d minima kernel against its quadratic oracle, the four L-block
 # operations against the pruned full cross products of their candidate
-# formulas, and the one-pass tree, library and request decoders against
-# encoding/json decoding the same bytes into method-free reference types.
+# formulas, R_Selection's line-envelope solver against the Monge solver on
+# the same error, and the one-pass tree, library and request decoders
+# against encoding/json decoding the same bytes into method-free reference
+# types.
 # Their corpora hold 20 KB deep-nesting seeds; minimizing each new input
 # grown from one would take most of the 10 s, so minimizing stops after 1 s.
 # A failing input is written under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimaLAgainstBrute$$' -fuzztime 10s ./internal/shape/
 	$(GO) test -run '^$$' -fuzz '^FuzzLBlockOpsAgainstCrossProduct$$' -fuzztime 10s ./internal/combine/
+	$(GO) test -run '^$$' -fuzz '^FuzzRSelectAgainstMonge$$' -fuzztime 10s ./internal/selection/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLibrary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/

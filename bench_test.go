@@ -152,11 +152,12 @@ func BenchmarkComputeRError(b *testing.B) {
 	}
 }
 
-// BenchmarkRSelect measures R_Selection (O(k n log n) on the Monge error;
+// BenchmarkRSelect measures R_Selection (O(kn) on the line-envelope DP;
 // Theorem 2 bounds it by O(k n²)) on a 1000-corner list cut to k = 40, and
-// at the shape of the benchmark's selection-heavy solve: n = 200, k = 16.
+// at the shapes of the benchmark's selection-heavy solve: its node lists
+// (n = 200, k = 16) and its 256→16 leaf reductions.
 func BenchmarkRSelect(b *testing.B) {
-	for _, c := range []struct{ n, k int }{{1000, 40}, {200, 16}} {
+	for _, c := range []struct{ n, k int }{{1000, 40}, {200, 16}, {256, 16}} {
 		b.Run(fmt.Sprintf("n%d_k%d", c.n, c.k), func(b *testing.B) {
 			l := benchRList(c.n)
 			b.ReportAllocs()

@@ -12,12 +12,17 @@
 // The entry points are:
 //
 //   - Solve runs on an explicit Graph, exactly as in the paper.
-//   - SolveDenseMonge and SweepDenseMonge run on the implicit complete DAG
-//     over vertices 0..n-1 (every edge i→j with i < j present, weights from
-//     a callback) when its weights are Monge, in O(k n log n) instead of
-//     O(k n²). This is the instance both selection algorithms generate
-//     (Sections 4.2–4.3), and both errors are Monge; skipping graph
-//     materialization keeps their memory at O(kn).
+//   - SolveDenseMonge runs on the implicit complete DAG over vertices
+//     0..n-1 (every edge i→j with i < j present, weights from a callback)
+//     when its weights are Monge, in O(k n log n) instead of O(k n²).
+//     L_Selection (Section 4.3) generates this instance.
+//   - SolveDenseLines and SweepDenseLines run on the same DAG when every
+//     weight is a line in the head's coordinate, w(u,v) = m_u·x_v + row_u +
+//     col_v, in O(kn): each layer is a lower envelope of lines. The
+//     R_Selection error (Section 4.2) has this form.
+//
+// The dense solvers never materialize the graph, so a selection's memory
+// stays O(kn).
 package cspp
 
 import (
@@ -132,10 +137,12 @@ func (g *Graph) acyclic() bool {
 // evaluator, from many goroutines at once — so the tables are recycled
 // through a sync.Pool instead of being reallocated per solve. Nothing in a
 // Result aliases the pooled storage (the path is extracted into a fresh
-// slice before release).
+// slice before release). hull is the line solver's envelope, one layer at a
+// time.
 type dpState struct {
 	prev, cur []int64
 	pred      [][]int32
+	hull      []line
 }
 
 var dpPool = sync.Pool{New: func() any { return new(dpState) }}
@@ -304,7 +311,8 @@ type CostFunc func(u, v int) int64
 //
 // This is the reduction target of both selections, where vertex i is the
 // i-th implementation of an irreducible list and w(i,j) the error of
-// discarding everything strictly between i and j.
+// discarding everything strictly between i and j. L_Selection runs on it;
+// R_Selection's error has the stronger line form of SolveDenseLines.
 //
 // Adding W(s,u,l-1) to row u keeps a layer's candidate matrix Monge, and on
 // a Monge matrix the leftmost minimizing u is nondecreasing in v: were
@@ -340,27 +348,6 @@ func SolveDenseMonge(n, k int, cost CostFunc) ([]int, int64, error) {
 		d.mongeStep(l, vlo, vhi, d.row(l, n), cost)
 	}
 	return d.path(n, k), d.prev[n-1], nil
-}
-
-// SweepDenseMonge returns w where w[l], for 2 <= l <= kmax, is the least
-// weight of a Monge dense-DAG path from 0 to n-1 visiting exactly l
-// vertices; w[0] and w[1] are Inf. One untrimmed layer-major pass yields
-// every l in O(kmax n log n), since each layer keeps every vertex.
-func SweepDenseMonge(n, kmax int, cost CostFunc) ([]int64, error) {
-	if kmax < 2 || kmax > n {
-		return nil, fmt.Errorf("cspp: kmax=%d out of range [2,%d]", kmax, n)
-	}
-	d := getDP(n, 2)
-	defer d.release()
-	pred := d.row(2, n) // argmins are only needed within a step
-	d.prev[0] = 0
-	w := make([]int64, kmax+1)
-	w[0], w[1] = Inf, Inf
-	for l := 2; l <= kmax; l++ {
-		d.mongeStep(l, l-1, n-1, pred, cost)
-		w[l] = d.prev[n-1]
-	}
-	return w, nil
 }
 
 // mongeStep advances the rolling rows from layer l-1 to layer l over the

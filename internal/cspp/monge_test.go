@@ -57,18 +57,13 @@ func costOf(w [][]int64) CostFunc {
 
 // TestSolveDenseMongeMatchesSolve pins the Monge solver to the
 // paper-verbatim Solve on the materialized complete DAG: identical path and
-// weight for every k, on tie-heavy Monge matrices. SweepDenseMonge must
-// report the same weight for every l.
+// weight for every k, on tie-heavy Monge matrices.
 func TestSolveDenseMongeMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(40)
 		w := randMonge(rng, n)
 		g := completeDAG(t, w)
-		sweep, err := SweepDenseMonge(n, n, costOf(w))
-		if err != nil {
-			t.Fatalf("n=%d: sweep: %v", n, err)
-		}
 		for k := 2; k <= n; k++ {
 			want, err := Solve(g, 0, n-1, k)
 			if err != nil {
@@ -81,9 +76,6 @@ func TestSolveDenseMongeMatchesSolve(t *testing.T) {
 			if weight != want.Weight || !slices.Equal(path, want.Path) {
 				t.Fatalf("n=%d k=%d: Monge %v (weight %d), Solve %v (weight %d)",
 					n, k, path, weight, want.Path, want.Weight)
-			}
-			if sweep[k] != want.Weight {
-				t.Fatalf("n=%d l=%d: sweep weight %d, Solve %d", n, k, sweep[k], want.Weight)
 			}
 		}
 	}
@@ -111,11 +103,6 @@ func TestSolveDenseMongeEdgeCases(t *testing.T) {
 	path, w, err = SolveDenseMonge(5, 5, span)
 	if err != nil || w != 4 || !slices.Equal(path, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("k=n must keep every vertex: path=%v w=%d err=%v", path, w, err)
-	}
-	for _, kmax := range []int{1, 6} {
-		if _, err := SweepDenseMonge(5, kmax, span); err == nil {
-			t.Fatalf("sweep kmax=%d on n=5 must error", kmax)
-		}
 	}
 }
 

@@ -242,9 +242,13 @@ type runState struct {
 	// evals and outcomes are indexed by BinNode.ID (preorder, 0..n-1).
 	// Each slot is written exactly once, by the worker that evaluates the
 	// node, before any reader can observe it (the scheduler's dependency
-	// hand-off orders the accesses).
-	evals    []*nodeEval
-	outcomes []*nodeOutcome
+	// hand-off orders the accesses). A nil slot is a node not evaluated; a
+	// set one points into the run's slab of the same index, so a run
+	// allocates two slabs instead of two records per node.
+	evals       []*nodeEval
+	outcomes    []*nodeOutcome
+	evalSlab    []nodeEval
+	outcomeSlab []nodeOutcome
 	// sub is the subtree result store consulted and filled by this run;
 	// nil when memoization is off. digests holds every node's content
 	// address, indexed by BinNode.ID, computed once up front.
@@ -288,11 +292,13 @@ func (o *Optimizer) RunBinary(bin *plan.BinNode) (*Result, error) {
 	}
 	schedule := flattenPostorder(bin)
 	st := &runState{
-		o:        o,
-		mem:      memtrack.NewTracker(o.opts.MemoryLimit),
-		tel:      o.opts.Telemetry,
-		evals:    make([]*nodeEval, len(schedule)),
-		outcomes: make([]*nodeOutcome, len(schedule)),
+		o:           o,
+		mem:         memtrack.NewTracker(o.opts.MemoryLimit),
+		tel:         o.opts.Telemetry,
+		evals:       make([]*nodeEval, len(schedule)),
+		outcomes:    make([]*nodeOutcome, len(schedule)),
+		evalSlab:    make([]nodeEval, len(schedule)),
+		outcomeSlab: make([]nodeOutcome, len(schedule)),
 	}
 	// Subtree memoization: resolve what the store already knows and
 	// schedule only the remainder. Memory-limited runs never consult the
@@ -421,7 +427,7 @@ func (st *runState) runSequential(schedule []*plan.BinNode) error {
 // skipped; a failed node contributes its generated count only.
 func (st *runState) mergeOutcomes(schedule []*plan.BinNode) (Stats, []NodeStat) {
 	var stats Stats
-	var nodeStats []NodeStat
+	nodeStats := make([]NodeStat, 0, len(schedule))
 	var cur, peak int64
 	for _, b := range schedule {
 		out := st.outcomes[b.ID]
@@ -480,9 +486,20 @@ func (st *runState) evalNode(b *plan.BinNode, worker int) error {
 	return err
 }
 
+// newOutcome marks node id evaluated and returns its zeroed outcome.
+func (st *runState) newOutcome(id int) *nodeOutcome {
+	st.outcomes[id] = &st.outcomeSlab[id]
+	return st.outcomes[id]
+}
+
+// setEval records node id's retained lists.
+func (st *runState) setEval(id int, ev nodeEval) {
+	st.evalSlab[id] = ev
+	st.evals[id] = &st.evalSlab[id]
+}
+
 func (st *runState) evalNodeInner(b *plan.BinNode) error {
-	out := &nodeOutcome{}
-	st.outcomes[b.ID] = out
+	out := st.newOutcome(b.ID)
 	if b.Kind == plan.BinLeaf {
 		return st.finishR(b, out, st.o.lib[b.Module], false)
 	}
@@ -573,7 +590,7 @@ func (st *runState) finishR(b *plan.BinNode, out *nodeOutcome, list shape.RList,
 	}
 	out.stat.Stored = len(list)
 	out.stat.Lists = 1
-	st.evals[b.ID] = &nodeEval{rl: list}
+	st.setEval(b.ID, nodeEval{rl: list})
 	return nil
 }
 
@@ -608,7 +625,7 @@ func (st *runState) finishL(b *plan.BinNode, out *nodeOutcome, set shape.LSet, t
 	}
 	out.stat.Stored = set.Size()
 	out.stat.Lists = len(set.Lists)
-	st.evals[b.ID] = &nodeEval{ls: set}
+	st.setEval(b.ID, nodeEval{ls: set})
 	return nil
 }
 

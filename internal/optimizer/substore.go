@@ -81,7 +81,8 @@ func (st *runState) resolveFromStore(schedule []*plan.BinNode) []*plan.BinNode {
 // tracker state a store-off run would (Add cannot fail: the store is
 // gated to unlimited runs).
 func (st *runState) splice(b *plan.BinNode, rec substore.NodeRecord) {
-	out := &nodeOutcome{
+	out := st.newOutcome(b.ID)
+	*out = nodeOutcome{
 		stat: NodeStat{
 			ID:        b.ID,
 			Kind:      b.Kind,
@@ -100,8 +101,7 @@ func (st *runState) splice(b *plan.BinNode, rec substore.NodeRecord) {
 	if rec.LSel {
 		out.lsel = 1
 	}
-	st.outcomes[b.ID] = out
-	st.evals[b.ID] = &nodeEval{rl: rec.RL, ls: rec.LS}
+	st.setEval(b.ID, nodeEval{rl: rec.RL, ls: rec.LS})
 	_ = st.mem.Add(int64(rec.Generated))
 	_ = st.mem.Release(int64(rec.Generated - rec.Stored))
 }

@@ -101,8 +101,16 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 	if st.RSelections > 0 && col.Counter(telemetry.CtrRSelectionError) <= 0 {
 		t.Error("R selections ran but no admitted selection error was recorded")
 	}
-	// Only L_Selection routes through the cspp solver (RSelect inlines its
-	// DP), so the pool counter is tied to L selections.
+	// Both selections solve through the pooled cspp DP: every R_Selection
+	// is one solve of the line solver, every exact L_Selection one of the
+	// Monge solver. The pool counter is process-wide, so other tests
+	// running at the same time can only add to it.
+	if st.RSelections == 0 {
+		t.Fatal("the run did no R selections")
+	}
+	if got := col.Counter(telemetry.CtrCSPPSolves); got < int64(st.RSelections) {
+		t.Errorf("cspp.solves = %d, below the run's %d R selections", got, st.RSelections)
+	}
 	if st.LSelections > 0 && col.Counter(telemetry.CtrCSPPSolves) <= 0 {
 		t.Error("L selections ran but no CSPP solves were counted")
 	}

@@ -13,8 +13,11 @@ package selection
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 
+	"floorplan/internal/cspp"
 	"floorplan/internal/shape"
 )
 
@@ -55,48 +58,63 @@ func (t *RErrorTable) At(i, j int) int64 {
 // N returns the list length the table was built for.
 func (t *RErrorTable) N() int { return t.n }
 
-// rErrorPrefix answers error(r_i, r_j) in O(1) from one prefix array, so
+// rErrorPrefix answers error(r_i, r_j) in O(1) from four arrays, so
 // R_Selection never materializes the O(n^2) table (R-lists can hold
-// thousands of corners). Expanding the column form
+// thousands of corners). Measured from the list's corner (w_{n-1}, h_0),
+// with m_i = w_i − w_{n−1} and x_j = h_j − h_0, the column form
 //
-//	error(i, j) = Σ_{m=i}^{j-2} (w_m - w_{m+1}) * (h_j - h_{m+1})
+//	error(i, j) = Σ_{t=i}^{j-2} (m_t − m_{t+1}) * (x_j − x_{t+1})
 //
-// and splitting off h_j gives
+// splits into a line in x_j per row i plus a term of column j:
 //
-//	error(i, j) = h_j * (w_i - w_{j-1}) - (Q[j-1] - Q[i]),
-//	Q[t]        = Σ_{m<t} (w_m - w_{m+1}) * h_{m+1}.
+//	error(i, j) = m_i·x_j + R[i] + C[j],
+//	R[t]        = Σ_{s<t} (m_s − m_{s+1}) * x_{s+1},
+//	C[j]        = −(m_{j−1}·x_j + R[j−1]),
 //
-// Q and the product may wrap int64 on large extents; the wraparound cancels
-// whenever the true error fits, so at matches Compute_R_Error exactly.
+// which is cspp.Lines, the input of the O(kn) envelope solver. R[t] is the
+// staircase's area over [w_t, w_0] above h_0, so with the span
+// (w_0 − w_{n−1})·(h_{n−1} − h_0) in int64 (checkRSpan) every term, every
+// error and every envelope intercept W(u, l−1) + R[u] lies in
+// [−span, span]: nothing wraps.
 type rErrorPrefix struct {
-	l shape.RList
-	q []int64
+	cspp.Lines
 }
 
-// rErrorPrefixes recycles the Q arrays: the optimizer runs R_Selection per
+// rErrorPrefixes recycles the arrays: the optimizer runs R_Selection per
 // node, from many goroutines at once.
 var rErrorPrefixes = sync.Pool{New: func() any { return new(rErrorPrefix) }}
 
 // getRErrorPrefix returns a pooled rErrorPrefix for l; release it when done.
 func getRErrorPrefix(l shape.RList) *rErrorPrefix {
 	p := rErrorPrefixes.Get().(*rErrorPrefix)
-	if cap(p.q) < len(l) {
-		p.q = make([]int64, len(l))
+	n := len(l)
+	if cap(p.Slope) < n {
+		p.Slope, p.X, p.Row, p.Col = make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
 	}
-	p.l, p.q = l, p.q[:len(l)]
-	p.q[0] = 0
-	for t := 1; t < len(l); t++ {
-		p.q[t] = p.q[t-1] + (l[t-1].W-l[t].W)*l[t].H
+	p.Slope, p.X, p.Row, p.Col = p.Slope[:n], p.X[:n], p.Row[:n], p.Col[:n]
+	m, x, r, c := p.Slope, p.X, p.Row, p.Col
+	w1, h0 := l[n-1].W, l[0].H
+	m[0], x[0], r[0], c[0] = l[0].W-w1, 0, 0, 0
+	for t := 1; t < n; t++ {
+		m[t], x[t] = l[t].W-w1, l[t].H-h0
+		r[t] = r[t-1] + (m[t-1]-m[t])*x[t]
+		c[t] = -(m[t-1]*x[t] + r[t-1])
 	}
 	return p
 }
 
-func (p *rErrorPrefix) release() {
-	p.l = nil
-	rErrorPrefixes.Put(p)
-}
+func (p *rErrorPrefix) release() { rErrorPrefixes.Put(p) }
 
-// at returns error(r_i, r_j) for 0 <= i < j < n.
-func (p *rErrorPrefix) at(i, j int) int64 {
-	return p.l[j].H*(p.l[i].W-p.l[j-1].W) - (p.q[j-1] - p.q[i])
+// checkRSpan rejects a list whose span (w_0 − w_{n−1})·(h_{n−1} − h_0),
+// the area of its bounding box, does not fit int64. Every number
+// R_Selection computes is bounded by the span (see rErrorPrefix), so a
+// list that passes cannot wrap; one that fails could. Inside the
+// optimizer every extent is at most plan.MaxExtent, whose square fits.
+func checkRSpan(l shape.RList) error {
+	n := len(l)
+	dw, dh := l[0].W-l[n-1].W, l[n-1].H-l[0].H
+	if hi, lo := bits.Mul64(uint64(dw), uint64(dh)); hi != 0 || lo > math.MaxInt64 {
+		return fmt.Errorf("selection: R-list of %d corners spans width %d and height %d, an area beyond int64", n, dw, dh)
+	}
+	return nil
 }

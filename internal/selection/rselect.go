@@ -27,16 +27,15 @@ type RResult struct {
 // When k >= len(l) the list is returned unchanged with zero error. k < 2 is
 // rejected for lists of length >= 2, since both endpoints must survive.
 //
-// Complexity: O(k n log n) time and O(k n) memory, below the O(k n^2) of
-// Theorem 2. Along the list W descends and H ascends, so for i < i' < j < j'
+// A list whose span (w_0 − w_{n−1})·(h_{n−1} − h_0) exceeds int64 is
+// rejected: its errors could wrap.
 //
-//	[E(i,j) - E(i',j)] - [E(i,j') - E(i',j')] =
-//	    Σ_{m=i}^{i'-1} (w_m - w_{m+1}) (h_j - h_{j'}) <= 0:
-//
-// the error is Monge, and cspp.SolveDenseMonge solves each CSPP layer by a
-// monotone argmin search, reading E(i,j) in O(1) from rErrorPrefix. The
-// error table of Compute_R_Error is never materialized. Picks and error are
-// identical to the paper's O(k n^2) DP on that table (pinned by tests).
+// Complexity: O(kn) time and memory, below the O(k n^2) of Theorem 2. The
+// error is a line in h_j per row i (rErrorPrefix), so each CSPP layer is a
+// lower envelope of lines, and cspp.SolveDenseLines sweeps it once per
+// layer. The error table of Compute_R_Error is never materialized. Picks
+// and error are identical to the paper's O(k n^2) DP on that table (pinned
+// by tests).
 func RSelect(l shape.RList, k int) (RResult, error) {
 	n := len(l)
 	if n == 0 {
@@ -48,8 +47,11 @@ func RSelect(l shape.RList, k int) (RResult, error) {
 	if k < 2 {
 		return RResult{}, fmt.Errorf("selection: RSelect needs k >= 2 to keep both endpoints, got k=%d for n=%d", k, n)
 	}
+	if err := checkRSpan(l); err != nil {
+		return RResult{}, err
+	}
 	e := getRErrorPrefix(l)
-	indices, weight, err := cspp.SolveDenseMonge(n, k, e.at)
+	indices, weight, err := cspp.SolveDenseLines(k, &e.Lines)
 	e.release()
 	if err != nil {
 		// Unreachable for a complete interval DAG with 2 <= k < n; guard

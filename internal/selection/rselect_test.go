@@ -3,6 +3,8 @@ package selection
 import (
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -70,8 +72,8 @@ func equalStepRList(rng *rand.Rand, n int) shape.RList {
 }
 
 // wideRList builds a canonical R-list with ~2^40 heights and ~2^24 width
-// steps: its errors fit int64 easily, but h_j·(w_i − w_{j−1}) and the
-// prefix sums of rErrorPrefix wrap, which the prefix form must cancel.
+// steps: its errors and span fit int64 easily, but raw products such as
+// h_j·(w_i − w_{j−1}) wrap, which rErrorPrefix's shifted origin avoids.
 func wideRList(rng *rand.Rand, n int) shape.RList {
 	l := make(shape.RList, n)
 	w, h := int64(1)<<24+rng.Int63n(1<<20), int64(1)<<40+rng.Int63n(1<<20)
@@ -96,8 +98,13 @@ var rListFamilies = []struct {
 	{"wide", wideRList},
 }
 
-// TestRErrorColumnMatchesTable pins the O(1) prefix form that R_Selection
-// reads each error column from to the Compute_R_Error table, entry by entry.
+// at returns error(r_i, r_j) for 0 <= i < j < n from the line form.
+func (p *rErrorPrefix) at(i, j int) int64 {
+	return p.Slope[i]*p.X[j] + p.Row[i] + p.Col[j]
+}
+
+// TestRErrorColumnMatchesTable pins the O(1) line form that R_Selection
+// reads each error from to the Compute_R_Error table, entry by entry.
 func TestRErrorColumnMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 60; trial++ {
@@ -137,9 +144,11 @@ func mongeViolation(n int, at func(i, j int) int64) (q [4]int, ok bool) {
 	return q, true
 }
 
-// TestRErrorMonge checks the property RSelect's O(k n log n) solver rests
-// on: the Compute_R_Error table is Monge on canonical R-lists, including
-// tie-heavy equal-step ones.
+// TestRErrorMonge checks that the Compute_R_Error table is Monge on
+// canonical R-lists, including tie-heavy equal-step ones. RSelect's O(kn)
+// envelope needs more, the line form that TestRErrorColumnMatchesTable
+// pins, and Monge is what SolveDenseMonge, its reference in
+// FuzzRSelectAgainstMonge, rests on.
 func TestRErrorMonge(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 200; trial++ {
@@ -228,6 +237,43 @@ func TestRSelectIdentityAndErrors(t *testing.T) {
 	res, err = RSelect(one, 5)
 	if err != nil || len(res.Selected) != 1 {
 		t.Fatalf("singleton identity: %+v, %v", res, err)
+	}
+}
+
+// TestRSelectRejectsWrappingSpan: the corners (3·2⁴⁰, 1), (2·2⁴⁰, 2⁴⁰) and
+// (1, 3·2⁴⁰) span a box of ~9·2⁸⁰, and dropping the middle one loses 2⁸¹,
+// which wraps int64 to 0. RSelect and RSweep (and RSelectBudget through
+// it) must refuse the list with an error naming its size and extents.
+// wideRList lists carry ~2⁴⁰ heights on a small span and stay accepted.
+func TestRSelectRejectsWrappingSpan(t *testing.T) {
+	const e = int64(1) << 40
+	l := shape.RList{{W: 3 * e, H: 1}, {W: 2 * e, H: e}, {W: 1, H: 3 * e}}
+	extent := strconv.FormatInt(3*e-1, 10)
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a list whose span overflows int64", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "3 corners") || strings.Count(msg, extent) != 2 {
+			t.Errorf("%s error %q does not name n = 3 and both extents %s", name, msg, extent)
+		}
+	}
+	_, err := RSelect(l, 2)
+	check("RSelect", err)
+	_, err = RSweep(l, 3)
+	check("RSweep", err)
+	_, err = RSelectBudget(l, 0)
+	check("RSelectBudget", err)
+
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 20; trial++ {
+		wide := wideRList(rng, 3+rng.Intn(254))
+		if _, err := RSelect(wide, 2+rng.Intn(len(wide)-2)); err != nil {
+			t.Fatalf("wide list of %d corners rejected: %v", len(wide), err)
+		}
+		if _, err := RSweep(wide, len(wide)); err != nil {
+			t.Fatalf("wide list of %d corners rejected by RSweep: %v", len(wide), err)
+		}
 	}
 }
 

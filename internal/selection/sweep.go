@@ -18,9 +18,10 @@ type SweepPoint struct {
 
 // RSweep computes the full trade-off curve of R_Selection in a single
 // dynamic program: for every k in [2, min(kmax, n)], the minimum staircase
-// error of keeping exactly k implementations. One O(kmax · n log n) pass of
-// the Monge DP behind RSelect (cspp.SweepDenseMonge) yields every point,
+// error of keeping exactly k implementations. One O(kmax·n) pass of the
+// envelope DP behind RSelect (cspp.SweepDenseLines) yields every point,
 // because the CSPP table W(s, v, l) already contains the optimum for each l.
+// Like RSelect, it rejects a list whose span exceeds int64.
 //
 // The curve is non-increasing in K and hits zero at K = n.
 func RSweep(l shape.RList, kmax int) ([]SweepPoint, error) {
@@ -37,8 +38,11 @@ func RSweep(l shape.RList, kmax int) ([]SweepPoint, error) {
 	if n == 1 {
 		return []SweepPoint{{K: 1, Error: 0}}, nil
 	}
+	if err := checkRSpan(l); err != nil {
+		return nil, err
+	}
 	e := getRErrorPrefix(l)
-	errs, err := cspp.SweepDenseMonge(n, kmax, e.at)
+	errs, err := cspp.SweepDenseLines(kmax, &e.Lines)
 	e.release()
 	if err != nil {
 		return nil, fmt.Errorf("selection: RSweep CSPP (n=%d, kmax=%d): %w", n, kmax, err)
@@ -56,7 +60,7 @@ func RSweep(l shape.RList, kmax int) ([]SweepPoint, error) {
 // staircase). This is the "error budget" dual of the paper's fixed-K1 rule:
 // instead of capping memory per block and accepting whatever error results,
 // cap the error per block and accept whatever memory results. One full
-// RSweep and one RSelect make it O(n² log n).
+// RSweep and one RSelect make it O(n²).
 func RSelectBudget(l shape.RList, budget int64) (RResult, error) {
 	n := len(l)
 	if n == 0 {
