@@ -2,7 +2,8 @@
 # test suite under the race detector (the parallel evaluator, annealer and
 # table grid are all exercised concurrently by their tests), focused race
 # passes over the telemetry collector, the shared LRU, the pooled combine
-# buffers, the subtree records concurrent runs share and the serving path,
+# buffers and dominance-kernel scratch, the subtree records concurrent runs
+# share and the serving path,
 # the observability goldens, a short fuzzing pass over the dominance kernel,
 # the L-block operations, R_Selection's line-envelope solver and the
 # one-pass request decoder, the benchmark module's vet and tests, and the
@@ -55,11 +56,12 @@ bench-module:
 
 # Focused race pass over the evaluation hot path: the pooled combine
 # buffers, whose results must never alias a buffer another goroutine reuses,
-# plus the parallel optimizer, the memory-limited runs it must not change,
-# and the stored subtree records that concurrent runs splice and must never
-# write to.
+# the pooled dominance-kernel scratch (rank column and Fenwick tree), which
+# must carry no state from one prune into the next, plus the parallel
+# optimizer, the memory-limited runs it must not change, and the stored
+# subtree records that concurrent runs splice and must never write to.
 race-combine:
-	$(GO) test -race -count=2 ./internal/combine/
+	$(GO) test -race -count=2 ./internal/combine/ ./internal/shape/
 	$(GO) test -race -run 'TestWorkersBitIdentical|TestMemoryLimitWorkersAgree|TestSubstoreRecordsUnchanged' ./internal/optimizer/
 
 # fuzz-smoke fuzzes for 10 s each, beyond the seed corpora `go test` runs:

@@ -87,48 +87,36 @@ func MustLSet(candidates []LImpl) LSet {
 }
 
 func newLSetUnchecked(candidates []LImpl) LSet {
-	return lsetFromOwned(MinimaL(candidates))
+	return LSetFromMinimal(MinimaL(candidates))
 }
 
 // LSetFromMinimal partitions an already Pareto-minimal, deduplicated
-// candidate set (as produced by MinimaL or MinimaLInPlace) into irreducible
-// L-lists without re-pruning it. The input is reordered in place and
-// overwritten as scratch; the result does not retain it. The combine stage
-// uses this on its pooled buffers so the re-prune inside MustLSet — and
-// the copy out of the buffer — both disappear from the hot path.
+// candidate set into irreducible L-lists without re-pruning or re-sorting
+// it. The input must be in the kernel order (W2, W1, H1, H2) that MinimaL
+// and MinimaLInPlace return. It is reordered in place and overwritten as
+// scratch; the result does not retain it. The combine stage uses this on
+// its pooled buffers so the re-prune inside MustLSet — and the copy out of
+// the buffer — both disappear from the hot path.
 func LSetFromMinimal(minimal []LImpl) LSet {
-	return lsetFromOwned(minimal)
-}
-
-// cmpLGroup orders implementations by (W2, W1 desc, H1, H2): W2 groups stay
-// contiguous and each group is in the greedy chain-partition order.
-func cmpLGroup(p, q LImpl) int {
-	switch {
-	case p.W2 != q.W2:
-		return cmpInt64(p.W2, q.W2)
-	case p.W1 != q.W1:
-		return cmpInt64(q.W1, p.W1)
-	case p.H1 != q.H1:
-		return cmpInt64(p.H1, q.H1)
-	default:
-		return cmpInt64(p.H2, q.H2)
-	}
-}
-
-// lsetFromOwned builds the set from a minimal candidate slice it owns (and
-// consumes as scratch).
-func lsetFromOwned(minimal []LImpl) LSet {
-	if len(minimal) == 0 {
-		return LSet{}
-	}
-	slices.SortFunc(minimal, cmpLGroup)
 	var set LSet
 	for lo := 0; lo < len(minimal); {
-		hi := lo
+		hi := lo + 1
 		for hi < len(minimal) && minimal[hi].W2 == minimal[lo].W2 {
 			hi++
 		}
-		set.Lists = append(set.Lists, partitionChains(minimal[lo:hi])...)
+		// A W2 group arrives in (W1, H1, H2) order. Reversing it, then each
+		// run of equal W1 in it, gives the chain order (W1 desc, H1, H2).
+		group := minimal[lo:hi]
+		slices.Reverse(group)
+		for a := 0; a < len(group); {
+			b := a + 1
+			for b < len(group) && group[b].W1 == group[a].W1 {
+				b++
+			}
+			slices.Reverse(group[a:b])
+			a = b
+		}
+		set.Lists = append(set.Lists, partitionChains(group)...)
 		lo = hi
 	}
 	return set

@@ -119,7 +119,7 @@ func TestNewLSetProperties(t *testing.T) {
 			return false
 		}
 		// The set must hold exactly the Pareto minima of the input.
-		want := sortedCopy(MinimaLBrute(in))
+		want := sortedCopy(minimaLBrute(in))
 		got := sortedCopy(set.All())
 		if !equalLSlices(got, want) {
 			t.Logf("content mismatch: got %d, want %d", len(got), len(want))

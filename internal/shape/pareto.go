@@ -1,52 +1,64 @@
 package shape
 
-import "slices"
+import (
+	"slices"
+	"sort"
+)
 
 // This file implements Pareto-minima pruning: from a candidate set, keep
 // exactly the implementations not dominated by (componentwise >=) another.
 // The optimizer calls this on every combine step, and unpruned candidate
 // sets at high tree levels reach 10^5 entries, so the 4-d case uses the
-// classic divide-and-conquer of Kung/Luccio/Preparata with a Fenwick
-// prefix-min sweep for the cross-half filter, giving O(n log^2 n) instead of
-// the quadratic pairwise scan (which remains as the test oracle).
+// divide and conquer of Kung/Luccio/Preparata in its merge-sort form, with a
+// Fenwick prefix-min sweep for the cross-half filter: O(n log^2 n) instead of
+// the quadratic pairwise scan the tests keep as their oracle.
 //
 // The L kernel orders candidates by (W2, W1, H1, H2) and splits on W2 first.
 // Every L-block combine copies W2 from an operand implementation, so a
 // candidate set holds at most as many W2 values as the operands have
-// L-lists (or top blocks): the W2 recursion is shallow, and each single-W2
-// subproblem is a contiguous run already in (W1, H1, H2) order, pruned by
-// one Fenwick sweep without copying or re-sorting its points.
+// L-lists (or top blocks): the W2 recursion is shallow. Every subproblem is
+// a contiguous range of the sorted candidates and hands its survivors back
+// in W1 order, so the cross-half filter walks two sorted runs and merges
+// them for its parent instead of sorting. A single-W2 run is already in
+// (W1, H1, H2) order, and one Fenwick sweep prunes it in place. H1 is ranked
+// once per prune, and one Fenwick tree over those ranks serves every sweep,
+// cleared along the inserted points' update paths after each.
 //
-// The kernels are written against the structure-of-arrays scratch in soa.go:
-// the sweeps sort (key, index) pairs and rank plain int64 columns with
-// slices.SortFunc / slices.Sort — direct comparisons, no reflection — and
-// every intermediate buffer comes from a pooled pruneScratch, so a prune is
-// allocation-free in steady state.
+// The kernel runs on the columns of a pooled pruneScratch (soa.go), so a
+// prune is allocation-free in steady state.
 
-// minFenwick is a Fenwick tree over 1-based ranks supporting prefix minima.
-// Values only ever decrease, which is all the dominance sweep needs. The
-// backing storage comes from the caller's pruneScratch.
-type minFenwick struct {
-	tree []int64
-}
+// minFenwick is a Fenwick tree over 1-based H1 ranks holding prefix minima
+// of H2. Values only decrease between clears, which is all the dominance
+// sweeps need. It stores H2 unsigned, so its empty value, fenwickEmpty,
+// exceeds every int64 and no valid H2 reads as empty.
+type minFenwick []uint64
 
-const fenwickInf = int64(1) << 62
+const fenwickEmpty = ^uint64(0)
 
-// update lowers the value at rank i (1-based) to at most v.
-func (f *minFenwick) update(i int, v int64) {
-	for ; i < len(f.tree); i += i & (-i) {
-		if v < f.tree[i] {
-			f.tree[i] = v
+// update lowers the value at rank i to at most v.
+func (f minFenwick) update(i int32, v uint64) {
+	for ; int(i) < len(f); i += i & -i {
+		if v < f[i] {
+			f[i] = v
 		}
 	}
 }
 
+// clear empties the nodes update(i, ·) lowered. All of a sweep's updates
+// precede its clears, and the path above a node is the same for every rank
+// through it, so an empty node means another clear emptied the rest.
+func (f minFenwick) clear(i int32) {
+	for ; int(i) < len(f) && f[i] != fenwickEmpty; i += i & -i {
+		f[i] = fenwickEmpty
+	}
+}
+
 // prefixMin returns the minimum value over ranks 1..i.
-func (f *minFenwick) prefixMin(i int) int64 {
-	m := fenwickInf
-	for ; i > 0; i -= i & (-i) {
-		if f.tree[i] < m {
-			m = f.tree[i]
+func (f minFenwick) prefixMin(i int32) uint64 {
+	m := fenwickEmpty
+	for ; i > 0; i -= i & -i {
+		if f[i] < m {
+			m = f[i]
 		}
 	}
 	return m
@@ -63,52 +75,17 @@ func cmpInt64(a, b int64) int {
 	}
 }
 
-func cmpKeyIdx(a, b keyIdx) int {
-	if a.key != b.key {
-		return cmpInt64(a.key, b.key)
-	}
-	return int(a.idx) - int(b.idx)
-}
-
-// minima3 marks, in keep, the Pareto-minimal points among all[i] for i in
-// idx, a sorted run sharing one W2 value and holding no duplicates. The run
-// is in (W1, H1, H2) order, so every point that can dominate p precedes it:
-// a Fenwick tree over the H1 ranks, holding the least H2 kept so far,
-// decides each point in one pass.
-func minima3(all []LImpl, idx []int32, keep []bool, s *pruneScratch) {
-	vals := s.valRun(len(idx))
-	for _, id := range idx {
-		vals = append(vals, all[id].H1)
-	}
-	slices.Sort(vals)
-	uniq := dedupSorted(vals)
-	fw := minFenwick{tree: s.fenwickRun(len(uniq))}
-	for _, id := range idx {
-		p := all[id]
-		r := rankOf(uniq, p.H1)
-		// Every point inserted so far has W1 <= p.W1; p is redundant iff one
-		// of them also has H1 <= p.H1 and H2 <= p.H2.
-		if fw.prefixMin(r) <= p.H2 {
-			continue
-		}
-		keep[id] = true
-		fw.update(r, p.H2)
-	}
-}
-
 // MinimaL returns the Pareto-minimal subset of 4-d L-shaped candidates,
 // deduplicated, in (W2, W1, H1, H2) order. Candidates are not modified.
+// Every H2 must be non-negative, as it is in every valid LImpl.
 func MinimaL(candidates []LImpl) []LImpl {
 	if len(candidates) == 0 {
 		return nil
 	}
 	s := getPruneScratch()
-	if cap(s.impls) < len(candidates) {
-		s.impls = make([]LImpl, len(candidates))
-	}
-	buf := s.impls[:len(candidates)]
-	copy(buf, candidates)
-	minimal := minimaLSorted(buf, s)
+	s.impls = grow(s.impls, len(candidates))
+	copy(s.impls, candidates)
+	minimal := minimaLSorted(s.impls, s)
 	out := make([]LImpl, len(minimal))
 	copy(out, minimal)
 	putPruneScratch(s)
@@ -141,8 +118,11 @@ func minimaLSorted(buf []LImpl, s *pruneScratch) []LImpl {
 			uniq = append(uniq, p)
 		}
 	}
-	keep := s.boolRun(len(uniq))
-	minima4(uniq, s.indexRun(len(uniq)), keep, s)
+	k := s.kernel(uniq)
+	keep := s.keep
+	for _, i := range k.ord[:k.minima(0, len(uniq))] {
+		keep[i] = true
+	}
 	out := uniq[:0]
 	for i, p := range uniq {
 		if keep[i] {
@@ -171,156 +151,113 @@ func sortLImpls(pts []LImpl) {
 	slices.SortFunc(pts, cmpLImpl)
 }
 
-// minima4SmallCutoff is the subproblem size below which the quadratic scan
-// beats the divide-and-conquer bookkeeping on a subproblem holding several
-// W2 values. The brute kernel deliberately stays on the array-of-structs
-// layout: it compares all four coordinates of element pairs, the one access
-// pattern AoS serves better than columns.
-const minima4SmallCutoff = 48
+// minimaLSmallCutoff is the subproblem size below which the pairwise scan
+// beats the divide-and-conquer bookkeeping on a range holding several W2
+// values. The scan deliberately stays on the array-of-structs layout: it
+// compares all four coordinates of element pairs, the one access pattern
+// AoS serves better than columns.
+const minimaLSmallCutoff = 48
 
-// minima4 marks the Pareto-minimal points among all[i] for i in idx.
-// all must be sorted by (W2, W1, H1, H2) with no duplicates; idx is a sorted
-// (hence W2-nondecreasing) index subset.
-func minima4(all []LImpl, idx []int32, keep []bool, s *pruneScratch) {
-	if len(idx) == 0 {
-		return
+// lKernel is one prune's view of the scratch columns over pts, the sorted,
+// deduplicated candidates: rank holds each point's H1 rank, ord receives
+// every range's survivors at the range's start, and half holds a low half's
+// survivors while the cross-half filter merges them.
+type lKernel struct {
+	pts             []LImpl
+	rank, ord, half []int32
+	fw              minFenwick
+}
+
+// minima decides the range pts[lo:hi]: it writes the indices of the range's
+// Pareto-minimal points to ord[lo:], in W1 order, and returns how many
+// there are.
+func (k *lKernel) minima(lo, hi int) int {
+	pts := k.pts
+	if pts[lo].W2 == pts[hi-1].W2 {
+		return k.sweep(lo, hi)
 	}
-	if all[idx[0]].W2 == all[idx[len(idx)-1]].W2 {
-		// One W2 value: dominance degenerates to 3-d on (W1, H1, H2).
-		minima3(all, idx, keep, s)
-		return
-	}
-	if len(idx) <= minima4SmallCutoff {
-		minima4Brute(all, idx, keep)
-		return
+	if hi-lo <= minimaLSmallCutoff {
+		return k.scan(lo, hi)
 	}
 	// Split on W2 so every low point has W2 < every high point.
-	midVal := all[idx[len(idx)/2]].W2
-	split := searchW2(all, idx, midVal, false)
-	if split == len(idx) {
-		// midVal is the maximum W2; split just below it instead.
-		split = searchW2(all, idx, midVal, true)
+	v := pts[(lo+hi)/2].W2
+	mid := lo + sort.Search(hi-lo, func(i int) bool { return pts[lo+i].W2 > v })
+	if mid == hi {
+		// v is the maximum W2; split just below it instead.
+		mid = lo + sort.Search(hi-lo, func(i int) bool { return pts[lo+i].W2 >= v })
 	}
-	lo, hi := idx[:split], idx[split:]
-	minima4(all, lo, keep, s)
-	minima4(all, hi, keep, s)
-	// A high survivor is still redundant if some low survivor is <= it in
-	// the remaining three dimensions (its W2 is < automatically). Collect
-	// the survivors as (W1, index) sort pairs for the cross-half filter.
-	pairs := s.pairRun(len(idx))
-	for _, id := range lo {
-		if keep[id] {
-			pairs = append(pairs, keyIdx{key: all[id].W1, idx: id})
-		}
-	}
-	nLo := len(pairs)
-	for _, id := range hi {
-		if keep[id] {
-			pairs = append(pairs, keyIdx{key: all[id].W1, idx: id})
-		}
-	}
-	filterDominated3(all, pairs[:nLo], pairs[nLo:], keep, s)
+	return k.merge(lo, k.minima(lo, mid), mid, k.minima(mid, hi))
 }
 
-// searchW2 returns the first position i in idx with all[idx[i]].W2 > v
-// (orEq false) or >= v (orEq true).
-func searchW2(all []LImpl, idx []int32, v int64, orEq bool) int {
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		w := all[idx[mid]].W2
-		if w > v || (orEq && w == v) {
-			hi = mid
-		} else {
-			lo = mid + 1
+// sweep decides a range sharing one W2 value. It is in (W1, H1, H2) order,
+// so every point p dominates precedes p, and p is redundant iff a survivor
+// before it also has H1 <= p.H1 and H2 <= p.H2. The survivors come out in
+// range order, which is W1 order.
+func (k *lKernel) sweep(lo, hi int) int {
+	out := k.ord[lo:lo]
+	for i := lo; i < hi; i++ {
+		r, h2 := k.rank[i], uint64(k.pts[i].H2)
+		if k.fw.prefixMin(r) <= h2 {
+			continue
 		}
+		k.fw.update(r, h2)
+		out = append(out, int32(i))
 	}
-	return lo
+	for _, i := range out {
+		k.fw.clear(k.rank[i])
+	}
+	return len(out)
 }
 
-// minima4Brute is the quadratic reference used for small subproblems.
-func minima4Brute(all []LImpl, idx []int32, keep []bool) {
-	for i, id := range idx {
-		p := all[id]
-		redundant := false
-		for j, jd := range idx {
-			if i == j {
-				continue
-			}
-			if p.Dominates(all[jd]) {
-				redundant = true
-				break
+// scan decides a small range holding several W2 values pairwise. In kernel
+// order every point p dominates precedes p and is a survivor or dominates
+// one, so p is tested against the survivors so far; insertion keeps those
+// in W1 order.
+func (k *lKernel) scan(lo, hi int) int {
+	out := k.ord[lo:lo]
+next:
+	for i := lo; i < hi; i++ {
+		p := k.pts[i]
+		for _, j := range out {
+			if p.Dominates(k.pts[j]) {
+				continue next
 			}
 		}
-		if !redundant {
-			keep[id] = true
+		out = append(out, int32(i))
+		j := len(out) - 1
+		for ; j > 0 && k.pts[out[j-1]].W1 > p.W1; j-- {
+			out[j] = out[j-1]
 		}
+		out[j] = int32(i)
 	}
+	return len(out)
 }
 
-// filterDominated3 clears keep for high points dominated in (W1, H1, H2) by
-// some low point. Low points all have W2 < every high point's W2. lo and hi
-// carry each point's W1 as the sort key and are reordered in place.
-func filterDominated3(all []LImpl, lo, hi []keyIdx, keep []bool, s *pruneScratch) {
-	if len(lo) == 0 || len(hi) == 0 {
-		return
-	}
-	slices.SortFunc(lo, cmpKeyIdx)
-	slices.SortFunc(hi, cmpKeyIdx)
-
-	// Rank H1 values across both sets.
-	vals := s.valRun(len(lo) + len(hi))
-	for _, p := range lo {
-		vals = append(vals, all[p.idx].H1)
-	}
-	for _, p := range hi {
-		vals = append(vals, all[p.idx].H1)
-	}
-	slices.Sort(vals)
-	uniq := dedupSorted(vals)
-
-	fw := minFenwick{tree: s.fenwickRun(len(uniq))}
+// merge takes the low survivors ord[lo:lo+nLo] and the high survivors
+// ord[mid:mid+nHi], both in W1 order, and drops every high survivor that is
+// >= a low one in (W1, H1, H2): every low W2 is below every high W2, so the
+// high point dominates the low one. Walking both runs, each low point
+// enters the Fenwick tree before any high point with an equal or larger W1
+// is tested. The walk writes the merged survivors to ord[lo:] in W1 order
+// and returns their number.
+func (k *lKernel) merge(lo, nLo, mid, nHi int) int {
+	low := append(k.half[:0], k.ord[lo:lo+nLo]...)
+	// out never overtakes the high run: it holds at most the li low points
+	// taken plus the high points read so far, and mid >= lo+nLo.
+	out := k.ord[lo:lo]
 	li := 0
-	for _, hp := range hi {
-		h := all[hp.idx]
-		for li < len(lo) && lo[li].key <= hp.key {
-			p := all[lo[li].idx]
-			fw.update(rankOf(uniq, p.H1), p.H2)
-			li++
+	for _, h := range k.ord[mid : mid+nHi] {
+		for w1 := k.pts[h].W1; li < len(low) && k.pts[low[li]].W1 <= w1; li++ {
+			q := low[li]
+			k.fw.update(k.rank[q], uint64(k.pts[q].H2))
+			out = append(out, q)
 		}
-		if fw.prefixMin(rankOf(uniq, h.H1)) <= h.H2 {
-			keep[hp.idx] = false
-		}
-	}
-}
-
-// MinimaLBrute is the quadratic oracle for MinimaL, exported for tests and
-// benchmarks only.
-func MinimaLBrute(candidates []LImpl) []LImpl {
-	if len(candidates) == 0 {
-		return nil
-	}
-	pts := make([]LImpl, len(candidates))
-	copy(pts, candidates)
-	sortLImpls(pts)
-	uniq := pts[:0]
-	for i, p := range pts {
-		if i == 0 || p != uniq[len(uniq)-1] {
-			uniq = append(uniq, p)
+		if k.fw.prefixMin(k.rank[h]) > uint64(k.pts[h].H2) {
+			out = append(out, h)
 		}
 	}
-	out := make([]LImpl, 0, len(uniq))
-	for i, p := range uniq {
-		redundant := false
-		for j, q := range uniq {
-			if i != j && p.Dominates(q) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			out = append(out, p)
-		}
+	for _, q := range low[:li] {
+		k.fw.clear(k.rank[q])
 	}
-	return out
+	return len(append(out, low[li:]...))
 }

@@ -1,38 +1,36 @@
 package shape
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// This file holds the pooled scratch buffers behind the dominance-pruning
-// kernels. The pruning sweeps in pareto.go sort and scan *single keys* (one
-// coordinate plus a carried index), so the scratch keeps them in contiguous
-// int64 columns rather than 32-byte structs: a column sweep touches 8 bytes
-// per element instead of dragging whole implementations through the cache,
-// and sorting (key, index) pairs with slices.SortFunc compiles to direct
+// This file holds the pooled scratch columns behind the dominance-pruning
+// kernel. The sweeps and merges in pareto.go read one coordinate across
+// many points, so the scratch keeps plain columns rather than copies of
+// the 32-byte structs: a sorted int64 column of H1 values, ranked once per
+// prune into an int32 rank per point, the int32 index columns the
+// subproblems hand their W1-ordered survivors back in, and the Fenwick
+// tree. Sorting the int64 column with slices.Sort compiles to direct
 // comparisons with no reflection.
-// The pairwise brute-force kernel below the divide-and-conquer cutoff keeps
-// the array-of-structs layout instead: it compares all four coordinates of
-// the same two elements, which is exactly the access pattern AoS packs into
+// The pairwise scan below the divide-and-conquer cutoff keeps the
+// array-of-structs layout instead: it compares all four coordinates of the
+// same two elements, which is exactly the access pattern AoS packs into
 // one cache line. DESIGN.md §11 documents the split.
 
-// keyIdx is a sort pair: one int64 key plus the element index it belongs
-// to. The pruning filters sort these instead of permuting implementations.
-type keyIdx struct {
-	key int64
-	idx int32
-}
-
 // pruneScratch pools the working storage of one MinimaL / MinimaLInPlace
-// call: the dominance kernels run once per combine step, so
-// recycling their buffers removes the dominant per-node allocation churn.
-// A scratch is owned by exactly one call at a time (taken from and returned
-// to a sync.Pool); none of the returned results alias it.
+// call: the dominance kernel runs once per combine step, so recycling its
+// buffers removes the dominant per-node allocation churn. A scratch is
+// owned by exactly one call at a time (taken from and returned to a
+// sync.Pool); none of the returned results alias it.
 type pruneScratch struct {
 	impls []LImpl  // sorted candidate copy (MinimaL non-destructive entry)
 	keep  []bool   // survivor flags, indexed like the sorted candidates
-	idx   []int32  // index range handed to minima4
-	pairs []keyIdx // key/index sort buffer for the cross-half filters
-	vals  []int64  // rank-coordinate scratch (sorted, deduplicated)
-	fen   []int64  // Fenwick prefix-min storage
+	vals  []int64  // H1 values, sorted and deduplicated to rank them
+	rank  []int32  // each sorted candidate's 1-based H1 rank
+	ord   []int32  // survivor indices, in W1 order, per subproblem
+	half  []int32  // a low half's survivors while the filter merges them
+	fen   []uint64 // Fenwick prefix-min storage
 }
 
 var pruneScratchPool = sync.Pool{New: func() any { return new(pruneScratch) }}
@@ -40,81 +38,39 @@ var pruneScratchPool = sync.Pool{New: func() any { return new(pruneScratch) }}
 func getPruneScratch() *pruneScratch  { return pruneScratchPool.Get().(*pruneScratch) }
 func putPruneScratch(s *pruneScratch) { pruneScratchPool.Put(s) }
 
-// boolRun returns a zeroed bool slice of length n from the scratch.
-func (s *pruneScratch) boolRun(n int) []bool {
-	if cap(s.keep) < n {
-		s.keep = make([]bool, n)
+// grow returns buf resized to length n, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	s.keep = s.keep[:n]
-	for i := range s.keep {
-		s.keep[i] = false
-	}
-	return s.keep
+	return buf[:n]
 }
 
-// indexRun returns the identity permutation 0..n-1 from the scratch.
-func (s *pruneScratch) indexRun(n int) []int32 {
-	if cap(s.idx) < n {
-		s.idx = make([]int32, n)
+// kernel sizes the columns for one prune of pts, the sorted, deduplicated
+// candidates: it clears the survivor flags, ranks every point's H1 among
+// the distinct H1 values (one sort) and empties a Fenwick tree over those
+// ranks.
+func (s *pruneScratch) kernel(pts []LImpl) lKernel {
+	n := len(pts)
+	s.keep = grow(s.keep, n)
+	clear(s.keep)
+	s.vals = grow(s.vals, n)
+	for i, p := range pts {
+		s.vals[i] = p.H1
 	}
-	s.idx = s.idx[:n]
-	for i := range s.idx {
-		s.idx[i] = int32(i)
+	slices.Sort(s.vals)
+	uniq := slices.Compact(s.vals)
+	s.rank = grow(s.rank, n)
+	for i, p := range pts {
+		r, _ := slices.BinarySearch(uniq, p.H1)
+		s.rank[i] = int32(r + 1)
 	}
-	return s.idx
-}
-
-// pairRun returns an empty keyIdx buffer with capacity n.
-func (s *pruneScratch) pairRun(n int) []keyIdx {
-	if cap(s.pairs) < n {
-		s.pairs = make([]keyIdx, 0, n)
-	}
-	return s.pairs[:0]
-}
-
-// valRun returns an empty int64 buffer with capacity n.
-func (s *pruneScratch) valRun(n int) []int64 {
-	if cap(s.vals) < n {
-		s.vals = make([]int64, 0, n)
-	}
-	return s.vals[:0]
-}
-
-// fenwickRun returns Fenwick storage for n ranks, reset to +inf.
-func (s *pruneScratch) fenwickRun(n int) []int64 {
-	if cap(s.fen) < n+1 {
-		s.fen = make([]int64, n+1)
-	}
-	s.fen = s.fen[:n+1]
+	s.fen = grow(s.fen, len(uniq)+1)
 	for i := range s.fen {
-		s.fen[i] = fenwickInf
+		s.fen[i] = fenwickEmpty
 	}
-	return s.fen
-}
-
-// rankOf returns the 1-based rank of v among the sorted distinct values in
-// uniq: the smallest position whose value is >= v. A hand-rolled binary
-// search keeps the pruning sweeps free of closure calls.
-func rankOf(uniq []int64, v int64) int {
-	lo, hi := 0, len(uniq)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if uniq[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
-// dedupSorted compacts consecutive duplicates in a sorted int64 slice.
-func dedupSorted(vals []int64) []int64 {
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	s.ord = grow(s.ord, n)
+	s.half = grow(s.half, n)
+	return lKernel{pts: pts, rank: s.rank, ord: s.ord, half: s.half, fw: s.fen}
 }
