@@ -67,10 +67,9 @@ func main() {
 		subBytes   = flag.Int64("subtree-cache-bytes", 64<<20, "subtree result store budget in bytes (0 disables subtree memoization)")
 		drain      = flag.Duration("drain", 15*time.Second, "graceful shutdown drain deadline")
 		slowThresh = flag.Duration("slow-threshold", 0, "capture requests at least this slow into GET /debug/slow (0 disables)")
-		slowCap    = flag.Int("slow-capacity", 0, "slow-request capture ring size (0 = 64)")
 		peers      = flag.String("peers", "", "comma-separated base URLs of every cluster node, including this one (empty = single-node)")
 		self       = flag.String("self", "", "this node's base URL exactly as spelled in -peers (required with -peers)")
-		nodeID     = flag.String("node-id", "", "display id for this node in stats/logs (default: -self, or the listen address single-node)")
+		nodeID     = flag.String("node-id", "", "display id for this node in stats/logs (default: -self in cluster mode; none single-node)")
 		vnodes     = flag.Int("vnodes", 0, "virtual nodes per backend on the placement ring (0 = 128)")
 		hotKeys    = flag.Int("hot-keys", 0, "top-K hot keys replicated to every node's cache (0 = 32, negative disables)")
 		peerTO     = flag.Duration("peer-timeout", 0, "per-hop timeout for one peer forward attempt (0 = 2s)")
@@ -153,7 +152,6 @@ func main() {
 		Telemetry:      col,
 		Logger:         logger,
 		SlowThreshold:  *slowThresh,
-		SlowCapacity:   *slowCap,
 		NodeID:         *nodeID,
 		Cluster:        cl,
 

@@ -298,14 +298,14 @@ func BenchmarkRespond(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := &Server{}
 	w := &discardWriter{h: http.Header{}}
-	rec := &accessInfo{}
+	rec := &RequestRecord{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7",
+		Disposition: "hit", started: time.Now()}
 	var key cache.Key
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.respond(w, key, payload, "hit", time.Now(), rec)
+		respond(w, key, payload, rec)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,10 @@ func (b *logBuffer) records(t *testing.T) []map[string]any {
 
 // TestTraceparentRoundTrip: a client-supplied traceparent header surfaces
 // as the response's trace ID, in the access-log record (with the caller's
-// span as parent_span_id), and the server's span ID is fresh.
+// span as parent_span_id), and the server's span ID is fresh. The reply,
+// the access-log line and the /debug/slow capture of a miss and of the hit
+// after it come from one record: every key the line and the capture share
+// holds one value, and the reply's runtime agrees with both.
 func TestTraceparentRoundTrip(t *testing.T) {
 	const (
 		clientTrace = "0af7651916cd43dd8448eb211c80319c"
@@ -67,73 +71,118 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{
-		Workers: 2,
-		Cache:   testCache(t, 1<<20),
-		Logger:  logger,
+		Workers:       2,
+		Cache:         testCache(t, 1<<20),
+		Logger:        logger,
+		NodeID:        "node-a",
+		SlowThreshold: time.Nanosecond,
 	})
 
 	body, err := json.Marshal(&OptimizeRequest{Tree: testTree(), Library: testLibrary()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/optimize", bytes.NewReader(body))
+	post := func() ResponseRuntime {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/optimize", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", header)
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		return decodeOptimize(t, raw).Runtime
+	}
+	replies := []ResponseRuntime{post(), post()}
+	for i, want := range []string{"miss", "hit"} {
+		rt := replies[i]
+		if rt.Cache != want {
+			t.Fatalf("reply %d disposition = %q, want %s", i, rt.Cache, want)
+		}
+		if rt.TraceID != clientTrace {
+			t.Fatalf("%s runtime trace_id = %q, want the caller's %q", want, rt.TraceID, clientTrace)
+		}
+		if rt.SpanID == "" || rt.SpanID == clientSpan {
+			t.Fatalf("%s runtime span_id = %q, want a fresh server-side span", want, rt.SpanID)
+		}
+	}
+
+	lines := map[any]map[string]any{}
+	for _, rec := range logs.records(t) {
+		if rec["msg"] == "request" && rec["path"] == "/v1/optimize" {
+			lines[rec["span_id"]] = rec
+		}
+	}
+	resp, err := http.Get(ts.URL + "/debug/slow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("traceparent", header)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
+	var slow struct{ Requests []map[string]any }
+	err = json.NewDecoder(resp.Body).Decode(&slow)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	out := decodeOptimize(t, raw)
-	if out.Runtime.Cache != "miss" {
-		t.Fatalf("disposition = %q, want miss", out.Runtime.Cache)
-	}
-	if out.Runtime.TraceID != clientTrace {
-		t.Fatalf("runtime trace_id = %q, want the caller's %q", out.Runtime.TraceID, clientTrace)
-	}
-	if out.Runtime.SpanID == "" || out.Runtime.SpanID == clientSpan {
-		t.Fatalf("runtime span_id = %q, want a fresh server-side span", out.Runtime.SpanID)
+	captures := map[any]map[string]any{}
+	for _, c := range slow.Requests {
+		captures[c["span_id"]] = c
 	}
 
-	var found bool
-	for _, rec := range logs.records(t) {
-		if rec["path"] != "/v1/optimize" || rec["msg"] != "request" {
-			continue
+	for _, rt := range replies {
+		line, capture := lines[rt.SpanID], captures[rt.SpanID]
+		if line == nil || capture == nil {
+			t.Fatalf("%s (span %s): access-log line %v, capture %v", rt.Cache, rt.SpanID, line, capture)
 		}
-		found = true
-		if rec["trace_id"] != clientTrace {
-			t.Errorf("access log trace_id = %v, want %q", rec["trace_id"], clientTrace)
-		}
-		if rec["parent_span_id"] != clientSpan {
-			t.Errorf("access log parent_span_id = %v, want %q", rec["parent_span_id"], clientSpan)
-		}
-		if rec["span_id"] != out.Runtime.SpanID {
-			t.Errorf("access log span_id = %v, want the response's %q", rec["span_id"], out.Runtime.SpanID)
-		}
-		if rec["disposition"] != "miss" {
-			t.Errorf("access log disposition = %v, want miss", rec["disposition"])
-		}
-		if rec["status"] != float64(http.StatusOK) {
-			t.Errorf("access log status = %v, want 200", rec["status"])
-		}
-		for _, key := range []string{"method", "bytes", "elapsed_ms", "queue_wait_ms", "compute_ms"} {
-			if _, ok := rec[key]; !ok {
-				t.Errorf("access log record missing %q: %v", key, rec)
+		for key, want := range map[string]any{
+			"trace_id":       clientTrace,
+			"parent_span_id": clientSpan,
+			"disposition":    rt.Cache,
+			"node_id":        rt.NodeID,
+			"method":         http.MethodPost,
+			"status":         float64(http.StatusOK),
+		} {
+			if line[key] != want {
+				t.Errorf("%s access log %s = %v, want %v", rt.Cache, key, line[key], want)
 			}
 		}
-	}
-	if !found {
-		t.Fatalf("no access-log record for /v1/optimize in:\n%s", logs.String())
+		for key, val := range line {
+			switch key {
+			case "time", "level", "msg":
+				continue
+			}
+			got, ok := capture[key]
+			switch {
+			case !ok && (key == "queue_wait_ms" || key == "compute_ms") && val == 0.0:
+				// The line names a computation's timing even when it is
+				// zero; the capture omits zeros.
+			case !ok:
+				t.Errorf("%s: access-log key %s = %v missing from the capture", rt.Cache, key, val)
+			case !reflect.DeepEqual(got, val):
+				t.Errorf("%s: %s = %v in the access log, %v in the capture", rt.Cache, key, val, got)
+			}
+		}
+		for key := range capture {
+			if _, ok := line[key]; !ok && key != "captured_unix_ms" && key != "spans" {
+				t.Errorf("%s: capture key %s missing from the access log", rt.Cache, key)
+			}
+		}
+		_, queued := line["queue_wait_ms"]
+		_, computed := line["compute_ms"]
+		if want := rt.Cache == "miss"; queued != want || computed != want || line["bytes"] == nil {
+			t.Errorf("%s access log has queue_wait_ms %v, compute_ms %v, bytes %v: %v",
+				rt.Cache, queued, computed, line["bytes"], line)
+		}
 	}
 }
 
@@ -357,6 +406,26 @@ func TestKeepSpansTracesOptimizer(t *testing.T) {
 	}
 }
 
+// TestNoSpansWithoutKeepSpans: a server without KeepSpans keeps no span
+// per request in its collector, neither the serve span of a request nor
+// the flight span of a computation.
+func TestNoSpansWithoutKeepSpans(t *testing.T) {
+	col := telemetry.New()
+	_, ts := newTestServer(t, Config{Workers: 2, Cache: testCache(t, 1<<20), Telemetry: col})
+	for i, want := range []string{"miss", "hit", "hit", "hit", "hit"} {
+		status, raw, _ := postOptimize(t, ts, &OptimizeRequest{Tree: testTree(), Library: testLibrary()})
+		if status != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, status, raw)
+		}
+		if got := decodeOptimize(t, raw).Runtime.Cache; got != want {
+			t.Fatalf("request %d: disposition %q, want %s", i, got, want)
+		}
+	}
+	if spans := col.Spans(); len(spans) != 0 {
+		t.Fatalf("collector kept %d spans for one miss and four hits, want 0: %+v", len(spans), spans)
+	}
+}
+
 // TestShedDisposition: a shed request logs disposition=shed and records
 // into the shed latency histogram.
 func TestShedDisposition(t *testing.T) {
@@ -431,8 +500,7 @@ func TestObservabilityMiddlewareDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.withObservability(func(w http.ResponseWriter, r *http.Request) {
-		rec := accessInfoFrom(r.Context())
-		rec.disposition = "hit"
+		recordFrom(r.Context()).Disposition = "hit"
 		w.WriteHeader(http.StatusTeapot)
 		_, _ = w.Write([]byte("body"))
 	})

@@ -10,11 +10,12 @@
 //	                     collector (counters, gauges, latency histograms)
 //
 // Observability: every request runs under a W3C trace context — extracted
-// from the caller's traceparent header or minted on arrival — that is
-// returned in ResponseRuntime, stamped on the serve/flight/optimizer
-// telemetry spans, and logged in one structured access record per request
-// (Config.Logger). Coalesced followers report the leader's trace ID, so a
-// client retry correlates with the server-side flight it joined.
+// from the caller's traceparent header or minted on arrival — held in the
+// request's one RequestRecord, which the reply's ResponseRuntime, the
+// structured access log (Config.Logger) and the GET /debug/slow capture
+// are all written from; the flight and optimizer telemetry spans carry
+// it too. Coalesced followers report the leader's trace ID, so a client
+// retry correlates with the server-side flight it joined.
 //
 // Production plumbing: a bounded worker pool (Config.Workers slots, the
 // same semantics as floorplan.Options.Workers bounds goroutines) admits at
@@ -51,6 +52,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -73,7 +75,6 @@ import (
 	"floorplan/internal/plan"
 	"floorplan/internal/selection"
 	"floorplan/internal/shape"
-	"floorplan/internal/slogx"
 	"floorplan/internal/substore"
 	"floorplan/internal/telemetry"
 )
@@ -106,22 +107,19 @@ type Config struct {
 	// never consult or fill it (a private run touches no shared state).
 	Substore *substore.Store
 	// Telemetry receives request/queue/cache counters, queue watermarks,
-	// per-disposition latency histograms, per-request serve spans and the
-	// optimizer's scalar metrics; GET /metrics renders it.
+	// per-disposition latency histograms, the optimizer's scalar metrics
+	// and, under KeepSpans, per-request spans; GET /metrics renders it.
 	Telemetry *telemetry.Collector
-	// Logger receives one structured access-log record per request plus
-	// sampled debug records on the shed/timeout/abandon paths; nil
-	// disables logging.
+	// Logger receives one structured access-log record per request, a
+	// debug record per abandoned computation that failed and a warning per
+	// failed peer forward; nil disables logging.
 	Logger *slog.Logger
-	// SlowThreshold enables server-side tail capture: any request whose
-	// end-to-end latency reaches it is recorded — with its queue/compute/
-	// coalesce decomposition and the computation's span tree — into a
-	// bounded ring served (and scrubbed) by GET /debug/slow. 0 disables
-	// capture and the endpoint.
+	// SlowThreshold enables server-side tail capture: the record of any
+	// request whose end-to-end latency reaches it — with its queue/compute/
+	// coalesce decomposition and the computation's span tree — goes into a
+	// ring of the newest 64 captures, served (and scrubbed) by GET
+	// /debug/slow. 0 disables capture and the endpoint.
 	SlowThreshold time.Duration
-	// SlowCapacity bounds the capture ring (0 = 64); when full, the oldest
-	// capture is evicted.
-	SlowCapacity int
 	// NodeID labels this server instance in /v1/stats, access-log records,
 	// slow captures and response runtime envelopes; empty omits it. In
 	// cluster mode it defaults to the cluster's node id.
@@ -148,12 +146,12 @@ type Config struct {
 	ProfileRing int
 	// ProfileInterval is the watchdog sampling period (0 = 5s).
 	ProfileInterval time.Duration
-	// KeepSpans retains each request's optimizer spans in the collector
-	// (full Merge instead of MergeScalars), so a shutdown WriteTrace holds
-	// every request's cross-layer trace. Off by default: span retention
-	// grows without bound on a long-lived server, so only enable it for
-	// bounded runs that export a trace (fpserve sets it when -trace is
-	// given).
+	// KeepSpans retains each request's serve, flight and optimizer spans
+	// in the collector (full Merge instead of MergeScalars), so a shutdown
+	// WriteTrace holds every request's cross-layer trace. Off by default:
+	// span retention grows without bound on a long-lived server, so only
+	// enable it for bounded runs that export a trace (fpserve sets it when
+	// -trace is given).
 	KeepSpans bool
 }
 
@@ -176,13 +174,6 @@ func (c Config) timeout() time.Duration {
 		return c.RequestTimeout
 	}
 	return 60 * time.Second
-}
-
-func (c Config) slowCapacity() int {
-	if c.SlowCapacity > 0 {
-		return c.SlowCapacity
-	}
-	return 64
 }
 
 func (c Config) clusterStatsTimeout() time.Duration {
@@ -221,12 +212,6 @@ type Server struct {
 	logger *slog.Logger
 	start  time.Time
 
-	// Samplers bound the debug-log volume of the hot failure paths; shed
-	// storms are exactly when per-event logging would melt the server.
-	shedSampler    *slogx.Sampler
-	timeoutSampler *slogx.Sampler
-	abandonSampler *slogx.Sampler
-
 	flight flight.Group[cache.Key, []byte] // coalesces concurrent misses per key
 	slow   *slowRing                       // tail captures; nil when disabled
 	rec    *flightRecorder                 // triggered profiler; nil when disabled
@@ -263,13 +248,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxMemoryLimit < 0 {
 		return nil, fmt.Errorf("server: negative memory ceiling %d", cfg.MaxMemoryLimit)
 	}
-	if cfg.SlowThreshold < 0 || cfg.SlowCapacity < 0 {
-		return nil, fmt.Errorf("server: negative slow-capture threshold/capacity (%v, %d)",
-			cfg.SlowThreshold, cfg.SlowCapacity)
+	if cfg.SlowThreshold < 0 {
+		return nil, fmt.Errorf("server: negative slow-capture threshold %v", cfg.SlowThreshold)
 	}
 	var slow *slowRing
 	if cfg.SlowThreshold > 0 {
-		slow = newSlowRing(cfg.slowCapacity())
+		slow = newSlowRing(slowCapacity)
 	}
 	if cfg.ProfileTriggerP99 < 0 || cfg.ProfileRing < 0 || cfg.ProfileInterval < 0 {
 		return nil, fmt.Errorf("server: negative profile trigger/ring/interval (%v, %d, %v)",
@@ -279,15 +263,12 @@ func New(cfg Config) (*Server, error) {
 		cfg.NodeID = cfg.Cluster.NodeID()
 	}
 	srv := &Server{
-		cfg:            cfg,
-		sem:            make(chan struct{}, cfg.workers()),
-		slow:           slow,
-		tel:            cfg.Telemetry,
-		logger:         cfg.Logger,
-		start:          time.Now(),
-		shedSampler:    slogx.NewSampler(16),
-		timeoutSampler: slogx.NewSampler(16),
-		abandonSampler: slogx.NewSampler(1),
+		cfg:    cfg,
+		sem:    make(chan struct{}, cfg.workers()),
+		slow:   slow,
+		tel:    cfg.Telemetry,
+		logger: cfg.Logger,
+		start:  time.Now(),
 	}
 	if cfg.ProfileTriggerP99 > 0 {
 		srv.rec = newFlightRecorder(srv)
@@ -402,21 +383,19 @@ var testHookComputeStart func()
 var errDraining = errors.New("draining")
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	rec := accessInfoFrom(r.Context())
+	rec := recordFrom(r.Context())
 	if r.Method != http.MethodPost {
-		rec.disposition = "invalid"
+		rec.Disposition = "invalid"
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if s.draining.Load() {
-		rec.disposition = "draining"
+		rec.Disposition = "draining"
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	s.requests.Add(1)
 	s.tel.Inc(telemetry.CtrServeRequests)
-	started := time.Now()
-	spanStart := s.tel.Now()
 
 	// Admission: at most Workers in flight plus QueueDepth waiting; beyond
 	// that, shed immediately — a bounded queue with 429 beats an unbounded
@@ -427,14 +406,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if pending > int64(s.cfg.workers()+s.cfg.queueDepth()) {
 		s.shed.Add(1)
 		s.tel.Inc(telemetry.CtrServeShed)
-		rec.disposition = "shed"
-		s.debugSampled(s.shedSampler, "request shed", rec,
-			slog.Int64("pending", pending))
+		rec.Disposition = "shed"
 		s.writeRetryable(w, http.StatusTooManyRequests, "saturated: request queue full")
 		return
 	}
 
-	rec.disposition = "invalid"
+	rec.Disposition = "invalid"
 	req, status, err := s.decodeRequest(w, r)
 	if err != nil {
 		writeError(w, status, err.Error())
@@ -482,16 +459,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	owner, ownsKey := "", true
 	if cl != nil {
 		if internalFrom != "" {
-			rec.internalFrom = internalFrom
+			rec.InternalFrom = internalFrom
 			cl.NoteInternal()
 		}
 		owner, ownsKey = cl.Owner(key)
 	}
 
-	mode := "off"
+	rec.Disposition = "off"
 	if s.cfg.Cache != nil {
 		if req.Options.NoCache {
-			mode = "bypass"
+			rec.Disposition = "bypass"
 		} else if payload, ok := s.cfg.Cache.Get(key); ok {
 			if cl != nil {
 				if ownsKey {
@@ -500,12 +477,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 					cl.NoteReplicaHit()
 				}
 			}
-			rec.disposition = "hit"
-			s.recordServeSpan(spanStart, "hit", rec)
-			s.respond(w, key, payload, "hit", started, rec)
+			rec.Disposition = "hit"
+			respond(w, key, payload, rec)
 			return
 		} else {
-			mode = "miss"
+			rec.Disposition = "miss"
 		}
 	}
 	if cl != nil && ownsKey && !req.Options.NoCache {
@@ -519,12 +495,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// computes locally and never touches shared state).
 	forward := cl != nil && !ownsKey && internalFrom == "" && !req.Options.NoCache
 	if forward {
-		mode = "forwarded"
-		rec.forwardedTo = owner
+		rec.Disposition = "forwarded"
+		rec.ForwardedTo = owner
 	}
 
+	// Compared in milliseconds: a timeout_ms past the server's deadline
+	// leaves that deadline in force, however large (time.Duration(ms)
+	// would wrap negative from 2⁶³ ns on).
 	timeout := s.cfg.timeout()
-	if ms := req.Options.TimeoutMs; ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
+	if ms := req.Options.TimeoutMs; ms > 0 && ms < timeout.Milliseconds() {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -549,7 +528,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		// The leader's request identity names the shared computation: its
 		// trace ID is stamped on the flight tag (so followers can report
 		// it), on the flight span and on the optimizer's spans.
-		meta := &flightMeta{trace: rec.trace, forwardedTo: rec.forwardedTo}
+		meta := &flightMeta{trace: rec.trace, traceID: rec.TraceID, forwardedTo: rec.ForwardedTo}
 		rec.flight = meta
 		call.SetTag(meta)
 		// The computation runs detached from the HTTP goroutine:
@@ -576,25 +555,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.coalesced.Add(1)
 		s.tel.Inc(telemetry.CtrServeCoalesced)
-		mode = "coalesced"
+		rec.Disposition = "coalesced"
 	}
 
 	select {
 	case <-call.Done():
 		payload, err := call.Result()
-		s.noteFlight(rec, call, leader)
-		if mode == "forwarded" && rec.flight != nil && rec.flight.fellBack.Load() {
+		noteFlight(rec, call, leader)
+		if rec.Disposition == "forwarded" && rec.flight.fellBack.Load() {
 			// The owner never answered; the flight degraded to a local
 			// computation mid-call.
-			mode = "peer_fallback"
+			rec.Disposition = "peer_fallback"
 		}
-		rec.disposition = mode
-		s.recordServeSpan(spanStart, mode, rec)
 		if err != nil {
 			if errors.Is(err, errDraining) {
 				// The drain re-check refused the computation after this
 				// request joined (or led) the flight call.
-				rec.disposition = "draining"
+				rec.Disposition = "draining"
 				writeError(w, http.StatusServiceUnavailable, "draining")
 				return
 			}
@@ -605,9 +582,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 				// nothing) and no second hop (the origin client owns the
 				// retry budget).
 				if pe.Status == http.StatusTooManyRequests || pe.Status == http.StatusServiceUnavailable {
-					rec.disposition = "forwarded_shed"
+					rec.Disposition = "forwarded_shed"
 				} else {
-					rec.disposition = "forwarded_error"
+					rec.Disposition = "forwarded_error"
 				}
 				if pe.RetryAfter != "" {
 					w.Header().Set("Retry-After", pe.RetryAfter)
@@ -615,7 +592,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 				writeError(w, pe.Status, pe.Message)
 				return
 			}
-			rec.disposition = "error"
+			rec.Disposition = "error"
 			if optimizer.IsMemoryLimit(err) {
 				writeError(w, http.StatusUnprocessableEntity, err.Error())
 			} else {
@@ -623,30 +600,27 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		s.respond(w, key, payload, mode, started, rec)
+		respond(w, key, payload, rec)
 	case <-ctx.Done():
-		s.noteFlight(rec, call, leader)
-		s.recordServeSpan(spanStart, "timeout", rec)
+		noteFlight(rec, call, leader)
 		if call.Begun() {
 			s.timedOutComputing.Add(1)
 			s.tel.Inc(telemetry.CtrServeTimeoutComputing)
-			rec.disposition = "timeout_computing"
-			s.debugSampled(s.timeoutSampler, "request deadline while computing", rec)
+			rec.Disposition = "timeout_computing"
 			s.writeRetryable(w, http.StatusServiceUnavailable, "deadline reached while computing")
 		} else {
 			s.timedOutQueued.Add(1)
 			s.tel.Inc(telemetry.CtrServeTimeoutQueued)
-			rec.disposition = "timeout_queued"
-			s.debugSampled(s.timeoutSampler, "request deadline while queued", rec)
+			rec.Disposition = "timeout_queued"
 			s.writeRetryable(w, http.StatusServiceUnavailable, "deadline reached while queued")
 		}
 	}
 }
 
 // noteFlight copies the answering computation's identity onto a waiter's
-// access record: followers report the leader's trace ID (and share its
-// timing), the leader already carries its own.
-func (s *Server) noteFlight(rec *accessInfo, call *flight.Call[[]byte], leader bool) {
+// record: followers report the leader's trace ID (and share its timing),
+// the leader already carries its own.
+func noteFlight(rec *RequestRecord, call *flight.Call[[]byte], leader bool) {
 	if leader {
 		return
 	}
@@ -655,9 +629,9 @@ func (s *Server) noteFlight(rec *accessInfo, call *flight.Call[[]byte], leader b
 		return
 	}
 	rec.flight = meta
-	rec.flightTraceID = meta.trace.TraceID.String()
-	if rec.forwardedTo == "" {
-		rec.forwardedTo = meta.forwardedTo
+	rec.FlightTraceID = meta.traceID
+	if rec.ForwardedTo == "" {
+		rec.ForwardedTo = meta.forwardedTo
 	}
 }
 
@@ -695,18 +669,17 @@ func (s *Server) computeCall(call *flight.Call[[]byte], meta *flightMeta, req *O
 	}
 	s.computed.Add(1)
 	computeStart := time.Now()
-	spanStart := s.tel.Now()
 	payload, err := s.compute(req, lib, memLimit, meta)
 	elapsed := time.Since(computeStart)
 	meta.computeNs.Store(elapsed.Nanoseconds())
 	s.observeComputeTime(elapsed)
-	if s.tel != nil {
+	if s.cfg.KeepSpans {
 		s.tel.RecordSpan(telemetry.Span{
 			Name:    "flight compute",
 			Cat:     "flight",
-			Start:   spanStart,
-			Dur:     s.tel.Now() - spanStart,
-			TraceID: meta.trace.TraceID.String(),
+			Start:   s.tel.Now() - elapsed,
+			Dur:     elapsed,
+			TraceID: meta.traceID,
 		})
 	}
 	if err == nil && s.cfg.Cache != nil && !req.Options.NoCache {
@@ -723,12 +696,10 @@ func (s *Server) finishCall(call *flight.Call[[]byte], meta *flightMeta, payload
 	if waiters := call.Finish(payload, err); err != nil && waiters == 0 {
 		s.abandonedErrs.Add(1)
 		s.tel.Inc(telemetry.CtrServeAbandonedErrors)
-		if s.logger != nil && s.logger.Enabled(context.Background(), slog.LevelDebug) &&
-			s.abandonSampler.Allow() {
+		if s.logger != nil {
 			s.logger.Debug("abandoned computation failed",
-				slog.String("trace_id", meta.trace.TraceID.String()),
-				slog.String("error", err.Error()),
-				slog.Uint64("event_count", s.abandonSampler.Count()))
+				slog.String("trace_id", meta.traceID),
+				slog.String("error", err.Error()))
 		}
 	}
 }
@@ -780,7 +751,7 @@ func (s *Server) runForward(call *flight.Call[[]byte], meta *flightMeta, req *Op
 	if s.logger != nil {
 		s.logger.Warn("peer forward failed, computing locally",
 			slog.String("owner", owner),
-			slog.String("trace_id", meta.trace.TraceID.String()),
+			slog.String("trace_id", meta.traceID),
 			slog.String("error", err.Error()))
 	}
 	queued := time.Now()
@@ -916,7 +887,7 @@ func (s *Server) compute(req *OptimizeRequest, lib plan.Library, memLimit int64,
 		workers = max
 	}
 	shard := s.tel.Shard()
-	shard.SetTraceID(meta.trace.TraceID.String())
+	shard.SetTraceID(meta.traceID)
 	// NoCache demands a private run: it must not read shared state another
 	// request warmed, nor warm it — the same contract as the result cache.
 	sub := s.cfg.Substore
@@ -954,27 +925,26 @@ func (s *Server) compute(req *OptimizeRequest, lib plan.Library, memLimit int64,
 	return marshalResult(res)
 }
 
-func (s *Server) respond(w http.ResponseWriter, key cache.Key, payload []byte, mode string, started time.Time, rec *accessInfo) {
-	// A coalesced follower reports the leader's trace ID — the trace the
-	// answering computation actually ran under — with its own span ID.
-	traceID := rec.trace.TraceID.String()
-	if rec.flightTraceID != "" {
-		traceID = rec.flightTraceID
-	}
+// respond writes the 200 reply of an optimize request, its runtime
+// envelope built from the request's record.
+func respond(w http.ResponseWriter, key cache.Key, payload []byte, rec *RequestRecord) {
 	rt := ResponseRuntime{
-		ElapsedMs: time.Since(started).Milliseconds(),
-		Cache:     mode,
-		NodeID:    s.cfg.NodeID,
-		TraceID:   traceID,
-		SpanID:    rec.trace.SpanID.String(),
+		ElapsedMs: time.Since(rec.started).Milliseconds(),
+		Cache:     rec.Disposition,
+		NodeID:    rec.NodeID,
+		// A coalesced follower reports the leader's trace ID — the trace
+		// the answering computation actually ran under — with its own
+		// span ID.
+		TraceID: cmp.Or(rec.FlightTraceID, rec.TraceID),
+		SpanID:  rec.SpanID,
 	}
-	if rec.flight != nil {
+	if m := rec.flight; m != nil {
 		// Subtree-store scorecard of the computation that answered this
 		// request (the leader's, for coalesced followers). Zero for cache
 		// hits, forwards and substore-less runs; runtime data by nature —
 		// what resolves depends on store warmth, never the result bytes.
-		rt.SubtreeSpliced = rec.flight.subSpliced.Load()
-		rt.SubtreeComputed = rec.flight.subComputed.Load()
+		rt.SubtreeSpliced = m.subSpliced.Load()
+		rt.SubtreeComputed = m.subComputed.Load()
 	}
 	writeReply(w, key, payload, &rt)
 }
@@ -1000,19 +970,6 @@ func writeReply(w http.ResponseWriter, key cache.Key, payload []byte, rt *Respon
 			return // the client is gone; nothing left to tell it
 		}
 	}
-}
-
-func (s *Server) recordServeSpan(start time.Duration, disposition string, rec *accessInfo) {
-	if s.tel == nil {
-		return
-	}
-	s.tel.RecordSpan(telemetry.Span{
-		Name:    "optimize " + disposition,
-		Cat:     "serve",
-		Start:   start,
-		Dur:     s.tel.Now() - start,
-		TraceID: rec.trace.TraceID.String(),
-	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -186,6 +186,10 @@ func TestResultDeterminism(t *testing.T) {
 	variants := []variant{
 		{"uncached-w1", uncached, RequestOptions{Workers: 1}, "off"},
 		{"uncached-w8", uncached, RequestOptions{Workers: 8}, "off"},
+		// A timeout_ms past the server's deadline leaves that deadline in
+		// force, also where it would overflow a time.Duration.
+		{"uncached-timeout-9.3e12ms", uncached, RequestOptions{TimeoutMs: 9_300_000_000_000}, "off"},
+		{"uncached-timeout-2^62ms", uncached, RequestOptions{TimeoutMs: 1 << 62}, "off"},
 		{"cached-miss-w1", cached, RequestOptions{Workers: 1}, "miss"},
 		{"cached-hit-w8", cached, RequestOptions{Workers: 8}, "hit"},
 		{"cached-bypass-w2", cached, RequestOptions{Workers: 2, NoCache: true}, "bypass"},

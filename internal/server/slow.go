@@ -4,61 +4,21 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"floorplan/internal/telemetry"
 )
 
-// Server-side tail attribution: when Config.SlowThreshold is set, every
-// request whose end-to-end latency reaches it is captured into a bounded
-// ring — identity (trace/span), response envelope, the queue/compute/
-// coalesce decomposition from its flight, and the optimizer span tree the
+// Server-side tail attribution: when Config.SlowThreshold is set, the
+// RequestRecord of every request whose end-to-end latency reaches it is
+// captured into a bounded ring — the record the access log writes
+// (identity, response envelope, the queue/compute/coalesce decomposition
+// from its flight), plus the capture time and the optimizer span tree the
 // computation recorded. GET /debug/slow returns and drains the ring, so an
 // operator chasing a tail spike gets the *attribution* for the slowest
 // requests (where the time went, node by node) without grepping logs or
 // correlating a trace export after the fact.
 
-// SlowRequest is one captured tail request — the GET /debug/slow element.
-type SlowRequest struct {
-	// TraceID/SpanID are the identity the client observed in its response
-	// runtime (and in its own traceparent, if it sent one).
-	TraceID      string `json:"trace_id"`
-	SpanID       string `json:"span_id"`
-	ParentSpanID string `json:"parent_span_id,omitempty"`
-	Method       string `json:"method"`
-	Path         string `json:"path"`
-	Status       int    `json:"status"`
-	// Disposition is the optimize outcome (hit, miss, coalesced, ...);
-	// empty for non-optimize endpoints.
-	Disposition string `json:"disposition,omitempty"`
-	// FlightTraceID names the leader's trace when this request coalesced
-	// onto another request's computation — the spans below belong to it.
-	FlightTraceID string `json:"flight_trace_id,omitempty"`
-	// NodeID names the node that served the request; ForwardedTo the owning
-	// peer the compute was forwarded to (cluster mode). Together they say
-	// which node actually did the work a tail capture attributes.
-	NodeID      string `json:"node_id,omitempty"`
-	ForwardedTo string `json:"forwarded_to,omitempty"`
-	// CapturedUnixMs is the capture wall-clock time.
-	CapturedUnixMs int64 `json:"captured_unix_ms"`
-
-	// The latency decomposition: ElapsedMs is end-to-end; QueueWaitMs is
-	// the computation's wait for a worker slot; ComputeMs is optimization
-	// wall time; ForwardMs is the peer hop on forwarded requests;
-	// UnattributedMs is the remainder (decode, marshal, response write,
-	// and — for followers — waiting on a flight that started before this
-	// request arrived). All zero except ElapsedMs when the request never
-	// reached a computation (hits, shed, invalid).
-	ElapsedMs      float64 `json:"elapsed_ms"`
-	QueueWaitMs    float64 `json:"queue_wait_ms,omitempty"`
-	ComputeMs      float64 `json:"compute_ms,omitempty"`
-	ForwardMs      float64 `json:"forward_ms,omitempty"`
-	UnattributedMs float64 `json:"unattributed_ms,omitempty"`
-
-	// Spans is the span tree the answering computation recorded (flight and
-	// optimizer layers), retained even when the server's collector discards
-	// per-request spans (Config.KeepSpans off).
-	Spans []telemetry.Span `json:"spans,omitempty"`
-}
+// slowCapacity bounds the capture ring; when full, the oldest capture is
+// evicted.
+const slowCapacity = 64
 
 // slowRing is the bounded capture buffer. Captures are rare by definition
 // (tail requests only), so a mutex-guarded slice beats cleverness; when
@@ -67,7 +27,7 @@ type SlowRequest struct {
 type slowRing struct {
 	mu       sync.Mutex
 	capacity int
-	buf      []SlowRequest
+	buf      []RequestRecord
 	captured int64 // total captures ever
 	evicted  int64 // captures displaced before being read
 }
@@ -76,7 +36,15 @@ func newSlowRing(capacity int) *slowRing {
 	return &slowRing{capacity: capacity}
 }
 
-func (r *slowRing) add(req SlowRequest) {
+// add captures a finished request's record, with the capture time and the
+// span tree of the computation it waited on.
+func (r *slowRing) add(rec RequestRecord) {
+	rec.CapturedUnixMs = time.Now().UnixMilli()
+	if rec.flight != nil {
+		if sp := rec.flight.spans.Load(); sp != nil {
+			rec.Spans = *sp
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.captured++
@@ -85,13 +53,13 @@ func (r *slowRing) add(req SlowRequest) {
 		r.buf = r.buf[:n]
 		r.evicted++
 	}
-	r.buf = append(r.buf, req)
+	r.buf = append(r.buf, rec)
 }
 
 // drain returns the captured requests (oldest first) and scrubs the ring,
 // so each capture is reported exactly once and the buffer never serves
 // stale evidence twice.
-func (r *slowRing) drain() (reqs []SlowRequest, captured, evicted int64) {
+func (r *slowRing) drain() (reqs []RequestRecord, captured, evicted int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	reqs = r.buf
@@ -102,53 +70,13 @@ func (r *slowRing) drain() (reqs []SlowRequest, captured, evicted int64) {
 // peek returns a copy of the buffered captures without scrubbing them — the
 // non-destructive read behind GET /debug/slow?keep=1, so a human can look at
 // the evidence without stealing it from the alerting pipeline's next drain.
-func (r *slowRing) peek() (reqs []SlowRequest, captured, evicted int64) {
+func (r *slowRing) peek() (reqs []RequestRecord, captured, evicted int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.buf) > 0 {
-		reqs = append([]SlowRequest(nil), r.buf...)
+		reqs = append([]RequestRecord(nil), r.buf...)
 	}
 	return reqs, r.captured, r.evicted
-}
-
-// maybeCaptureSlow records the finished request into the slow ring when
-// tail capture is enabled and the request crossed the threshold.
-func (s *Server) maybeCaptureSlow(r *http.Request, sw *statusWriter, rec *accessInfo, elapsed time.Duration) {
-	if s.slow == nil || elapsed < s.cfg.SlowThreshold {
-		return
-	}
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	cap := SlowRequest{
-		TraceID:        rec.trace.TraceID.String(),
-		SpanID:         rec.trace.SpanID.String(),
-		ParentSpanID:   rec.parentSpan,
-		Method:         r.Method,
-		Path:           r.URL.Path,
-		Status:         status,
-		Disposition:    rec.disposition,
-		FlightTraceID:  rec.flightTraceID,
-		NodeID:         s.cfg.NodeID,
-		ForwardedTo:    rec.forwardedTo,
-		CapturedUnixMs: time.Now().UnixMilli(),
-		ElapsedMs:      durMs(elapsed),
-	}
-	if m := rec.flight; m != nil {
-		cap.QueueWaitMs = durMs(time.Duration(m.queueWaitNs.Load()))
-		cap.ComputeMs = durMs(time.Duration(m.computeNs.Load()))
-		cap.ForwardMs = durMs(time.Duration(m.forwardNs.Load()))
-		if rest := cap.ElapsedMs - cap.QueueWaitMs - cap.ComputeMs - cap.ForwardMs; rest > 0 {
-			cap.UnattributedMs = rest
-		}
-		if sp := m.spans.Load(); sp != nil {
-			cap.Spans = *sp
-		}
-	} else if cap.ElapsedMs > 0 {
-		cap.UnattributedMs = cap.ElapsedMs
-	}
-	s.slow.add(cap)
 }
 
 // slowResponse is the GET /debug/slow reply.
@@ -158,9 +86,9 @@ type slowResponse struct {
 	// Captured counts every capture since start; Evicted counts captures
 	// displaced unread by newer ones. Requests holds (and scrubs) the
 	// currently buffered captures, oldest first.
-	Captured int64         `json:"captured"`
-	Evicted  int64         `json:"evicted"`
-	Requests []SlowRequest `json:"requests"`
+	Captured int64           `json:"captured"`
+	Evicted  int64           `json:"evicted"`
+	Requests []RequestRecord `json:"requests"`
 }
 
 // handleSlow serves GET /debug/slow: the buffered tail captures, scrubbed
@@ -181,7 +109,7 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	}
 	reqs, captured, evicted := read()
 	if reqs == nil {
-		reqs = []SlowRequest{}
+		reqs = []RequestRecord{}
 	}
 	writeJSON(w, http.StatusOK, &slowResponse{
 		ThresholdMs: durMs(s.cfg.SlowThreshold),

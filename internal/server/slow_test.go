@@ -68,7 +68,7 @@ func TestSlowCapture(t *testing.T) {
 	if slow.ThresholdMs != 5 {
 		t.Fatalf("threshold_ms = %v, want 5", slow.ThresholdMs)
 	}
-	var cap *SlowRequest
+	var cap *RequestRecord
 	for i := range slow.Requests {
 		if slow.Requests[i].TraceID == resp.Runtime.TraceID {
 			cap = &slow.Requests[i]
@@ -152,7 +152,7 @@ func TestSlowDisabled(t *testing.T) {
 func TestSlowRingEviction(t *testing.T) {
 	r := newSlowRing(3)
 	for i := 0; i < 5; i++ {
-		r.add(SlowRequest{TraceID: fmt.Sprintf("t%d", i)})
+		r.add(RequestRecord{TraceID: fmt.Sprintf("t%d", i)})
 	}
 	reqs, captured, evicted := r.drain()
 	if captured != 5 || evicted != 2 {

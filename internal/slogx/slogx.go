@@ -1,9 +1,7 @@
 // Package slogx is the one place the floorplan tools configure structured
 // logging: a log/slog handler factory shared by all four CLIs (fpopt,
 // fpgen, fpbench, fpserve) so -log-level and -log-format mean the same
-// thing everywhere, plus a lock-free sampler for debug records on
-// high-volume paths (load shedding, retries) where logging every event
-// would melt the very request path being observed.
+// thing everywhere.
 //
 // The default output is single-line JSON records — one access-log record
 // per served request is the serving layer's contract — with "text" as the
@@ -14,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync/atomic"
 )
 
 // ParseLevel maps a -log-level flag value to a slog.Level. The empty
@@ -49,39 +46,4 @@ func New(w io.Writer, level, format string) (*slog.Logger, error) {
 		return slog.New(slog.NewTextHandler(w, opts)), nil
 	}
 	return nil, fmt.Errorf("slogx: unknown log format %q (want json or text)", format)
-}
-
-// Sampler admits every Nth event, starting with the first — the standard
-// compromise for debug records on shed/retry storms: the first occurrence
-// is always visible, sustained storms cost one record per N. A nil Sampler
-// admits everything; all methods are safe for concurrent use.
-type Sampler struct {
-	every uint64
-	n     atomic.Uint64
-}
-
-// NewSampler returns a sampler admitting one event in every (values below
-// 1 are treated as 1, i.e. no sampling).
-func NewSampler(every int) *Sampler {
-	if every < 1 {
-		every = 1
-	}
-	return &Sampler{every: uint64(every)}
-}
-
-// Allow reports whether this event is one of the sampled ones.
-func (s *Sampler) Allow() bool {
-	if s == nil {
-		return true
-	}
-	return (s.n.Add(1)-1)%s.every == 0
-}
-
-// Count returns how many events were offered so far (admitted or not),
-// which sampled log records should carry so readers can recover rates.
-func (s *Sampler) Count() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.n.Load()
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"log/slog"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -64,57 +62,5 @@ func TestNewRejectsUnknown(t *testing.T) {
 	}
 	if _, err := New(nil, "info", "xml"); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-func TestSamplerEveryN(t *testing.T) {
-	s := NewSampler(4)
-	var got []bool
-	for i := 0; i < 9; i++ {
-		got = append(got, s.Allow())
-	}
-	want := []bool{true, false, false, false, true, false, false, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Allow sequence %v, want %v", got, want)
-		}
-	}
-	if s.Count() != 9 {
-		t.Fatalf("Count = %d, want 9", s.Count())
-	}
-}
-
-func TestSamplerNilAndOne(t *testing.T) {
-	var nilS *Sampler
-	if !nilS.Allow() || nilS.Count() != 0 {
-		t.Fatal("nil sampler must admit everything")
-	}
-	one := NewSampler(0)
-	for i := 0; i < 3; i++ {
-		if !one.Allow() {
-			t.Fatal("every<1 sampler must admit everything")
-		}
-	}
-}
-
-func TestSamplerConcurrent(t *testing.T) {
-	s := NewSampler(10)
-	const goroutines, each = 8, 1000
-	var admitted atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if s.Allow() {
-					admitted.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := admitted.Load(); got != goroutines*each/10 {
-		t.Fatalf("admitted %d of %d, want exactly 1 in 10", got, goroutines*each)
 	}
 }

@@ -4,8 +4,9 @@
 # round-trips, cache hit-rate and byte-identity verification), scrapes
 # GET /metrics for the Prometheus exposition, fetches the slow-request
 # capture from GET /debug/slow (the threshold is set artificially low so
-# every request qualifies) and checks the structured access log, exiting
-# non-zero on any failure.
+# every request qualifies), checks the structured access log and that a
+# capture and its access-log line agree on span_id and disposition,
+# exiting non-zero on any failure.
 # Invoked by `make obs-check` and, through it, `make check`.
 set -eu
 
@@ -87,6 +88,21 @@ grep -q '"elapsed_ms":' "$workdir/slow" || {
 grep -q '"msg":"request".*"path":"/v1/optimize".*"trace_id":' "$workdir/fpserve.log" || {
     echo "serve-smoke: no structured access-log record for /v1/optimize:" >&2
     cat "$workdir/fpserve.log" >&2
+    exit 1
+}
+
+# One record feeds both outputs: the first captured optimize request's
+# span_id names an access-log line with the same disposition. The match
+# cannot cross a '{', so it stays inside one capture and ends before the
+# capture's span tree.
+capture="$(grep -o '"span_id":"[0-9a-f]*"[^{]*"path":"/v1/optimize"[^{]*"disposition":"[a-z_]*"' \
+    "$workdir/slow" | head -n 1)"
+span="$(echo "$capture" | sed 's/^"span_id":"\([0-9a-f]*\)".*/\1/')"
+disposition="$(echo "$capture" | sed 's/.*"disposition":"\([a-z_]*\)"$/\1/')"
+grep '"msg":"request"' "$workdir/fpserve.log" | grep "\"span_id\":\"$span\"" |
+    grep -q "\"disposition\":\"$disposition\"" || {
+    echo "serve-smoke: capture span_id '$span' (disposition '$disposition') has no matching access-log line" >&2
+    cat "$workdir/slow" "$workdir/fpserve.log" >&2
     exit 1
 }
 
